@@ -11,19 +11,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Iterator
 
-from .arith import eps, euler_phi, factorize, odd_part, primes_upto
-from .characters import char_order, gauss_sum
+from .arith import euler_phi, factorize, odd_part, primes_upto
+from .characters import char_order
 from .eisenstein import (
     Config,
     DEFAULT_CONFIG,
     S_set,
-    _eta0_conductor,
     coeff_a,
     leading_coefficients,
-    phi2,
     prefactor,
-    reduce_residue,
 )
 from .hurwitz import moment_H
 
@@ -62,17 +60,36 @@ def leading_sum(
     return total.real
 
 
+def _a1_ratios(M: int, ms: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The closed form of A1(m, M) for each m in ms, as (m, num, den).
+
+    num/den is unreduced with den > 0, so the sign of A1 is the sign of num:
+    A1 = (2 * prod (p^2 - p - [p !| m]) - d * prod (p^2 - 1))
+         / (2 * phi(M) * prod (p^2 - 1)), over the primes p | M,
+    where d counts which of m - 1, m + 1 are units mod M.
+    """
+    primes = [p for p, _ in factorize(M)]
+    full = 1
+    phi = M
+    for p in primes:
+        full *= p * p - 1
+        phi = phi // p * (p - 1)
+    den = 2 * phi * full
+    for m in ms:
+        lead = 2
+        for p in primes:
+            lead *= p * p - p - (1 if m % p else 0)
+        d = (math.gcd(m - 1, M) == 1) + (math.gcd(m + 1, M) == 1)
+        yield m, lead - d * full, den
+
+
 @lru_cache(maxsize=1 << 16)
 def A1_closed(m: int, M: int) -> Fraction:
     """Closed form of the F_p bias average, exact."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    prod = Fraction(2)
-    for p, _ in factorize(M):
-        prod *= Fraction(p * p - p - (1 if m % p else 0), p * p - 1)
-    d1 = 1 if math.gcd(m - 1, M) == 1 else 0
-    d2 = 1 if math.gcd(m + 1, M) == 1 else 0
-    return (prod - d1 - d2) / (2 * euler_phi(M))
+    ((_, num, den),) = _a1_ratios(M, (m,))
+    return Fraction(num, den)
 
 
 def A1_chars(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
@@ -103,23 +120,10 @@ def epsilon_mM(m: int, M: int) -> Fraction:
 
     Derived by resolving the two indicator sums against the t = +-1, +-2
     boundary moments: -(2/3) * (2 * #{units x: 2x = m} + [gcd(m, M) = 1]).
-    Agrees with epsilon_four_case except when 4 | M and m = 2 (mod 4),
-    where that table misses a doubled solution.
     """
     return Fraction(-2, 3) * (
         2 * _unit_halvings(m, M) + (1 if math.gcd(m, M) == 1 else 0)
     )
-
-
-def epsilon_four_case(m: int, M: int) -> Fraction:
-    """Four-case variant of the constant block; kept for discrepancy
-    reporting (see epsilon_mM for where it fails)."""
-    m = m % M
-    if M % 2 == 1:
-        return Fraction(-2) if math.gcd(m, M) == 1 else Fraction(0)
-    if m % 2 == 0:
-        return Fraction(-4, 3) if math.gcd(m // 2, M // 2) == 1 else Fraction(0)
-    return Fraction(-2, 3) if math.gcd(m, M) == 1 else Fraction(0)
 
 
 def A2_closed(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
@@ -127,9 +131,7 @@ def A2_closed(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
 
     Orthogonality kills every non-real character in the residue average, so
     the first block is phi(M) * prefactor * sum of the real-character
-    leading coefficients; the product-form variant of that block is kept
-    separately in a2_first_term_product_form because it breaks when
-    gcd(m, M) is divisible by 4 or by a prime >= 5.
+    leading coefficients.
     """
     if M < 3:
         raise ValueError("M must be >= 3")
@@ -141,37 +143,6 @@ def A2_closed(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
         raise ArithmeticError(f"real-character block came out complex: {total!r}")
     first = euler_phi(M) * float(prefactor(M)) * total.real
     return (first + float(epsilon_mM(m, M))) / (2 * euler_phi(M))
-
-
-def a2_first_term_product_form(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
-    """Fully multiplicative rewrite of the first block of A2_closed.
-
-    Kept for reference only: it agrees with the coefficient sum exactly
-    when gcd(m, M) is divisible neither by 4 nor by any prime >= 5, and
-    is wrong otherwise (first counterexample m = M = 4).
-    """
-    if M < 3:
-        raise ValueError("M must be >= 3")
-    m = reduce_residue(m, M)
-    total = 0j
-    for eta in S_set(m, M):
-        if char_order(eta) > 2:
-            continue
-        n_eta = eta.modulus
-        omega = len(factorize(n_eta)) if n_eta > 1 else 0
-        num = (-1) ** omega * (eps(odd_part(_eta0_conductor(eta, cfg))) ** 3).value
-        num *= phi2(eta, cfg)
-        term = num / (gauss_sum(eta) * math.sqrt(n_eta))
-        for q, _ in factorize(M):
-            if m % q == 0 or n_eta % q == 0:
-                term *= Fraction(q, q * q - q - 1)
-        total += term
-    out = 2 * total
-    for q, _ in factorize(M):
-        out *= Fraction(q * q - q - 1, q * q - 1)
-    if abs(out.imag) >= _IM_TOL:
-        raise ArithmeticError(f"product form came out complex: {out!r}")
-    return out.real
 
 
 def A2_chars(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
@@ -275,27 +246,22 @@ class DensityReport:
         return self.zero / self.pairs
 
 
-def density_scan(X: int) -> DensityReport:
-    """Sign counts of the closed-form F_p bias over all 1 <= m <= M <= X."""
+def a1_census(X: int) -> Iterator[tuple[int, Iterator[tuple[int, int, int]]]]:
+    """The closed form of A1 over all 1 <= m <= M <= X, one modulus at a time:
+    (M, the (m, num, den) of every m in 1..M), as _a1_ratios gives them."""
     if not 1 <= X <= 5000:
         raise ValueError("X must lie in 1..5000")
+    return ((M, _a1_ratios(M, range(1, M + 1))) for M in range(1, X + 1))
+
+
+def density_scan(X: int) -> DensityReport:
+    """Sign counts of the closed-form F_p bias over all 1 <= m <= M <= X."""
     positive = zero = negative = 0
-    for M in range(1, X + 1):
-        primes = [p for p, _ in factorize(M)] if M > 1 else []
-        full = 1
-        for p in primes:
-            full *= p * p - 1
-        for m in range(1, M + 1):
-            lead = 2
-            for p in primes:
-                lead *= p * p - p - (1 if m % p else 0)
-            d = (1 if math.gcd(m - 1, M) == 1 else 0) + (
-                1 if math.gcd(m + 1, M) == 1 else 0
-            )
-            diff = lead - d * full
-            if diff > 0:
+    for _, ratios in a1_census(X):
+        for _, num, _ in ratios:
+            if num > 0:
                 positive += 1
-            elif diff < 0:
+            elif num < 0:
                 negative += 1
             else:
                 zero += 1
@@ -304,6 +270,8 @@ def density_scan(X: int) -> DensityReport:
 
 def empirical_A1(m: int, M: int, X: int, cfg: Config = DEFAULT_CONFIG) -> float:
     """Average of the exact subleading coefficient over actual primes <= X."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
     if X < 2:
         raise ValueError("X must be >= 2")
     summand = {}

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .arith import eps, factorize, inverse_mod, kronecker, odd_part, ord_p
+from .arith import eps, factorize, inverse_mod, kronecker, ord_p
 
 TWO_PI = 2.0 * math.pi
 
@@ -192,12 +192,18 @@ def enumerate_chars(modulus: int) -> list[DirichletCharacter]:
     return out
 
 
+def _local_order(exps: tuple[int, ...], orders: tuple[int, ...]) -> int:
+    """Order of a local component, given its exponents and generator orders."""
+    order = 1
+    for a, o in zip(exps, orders):
+        order = math.lcm(order, o // math.gcd(a, o))
+    return order
+
+
 def char_order(chi: DirichletCharacter) -> int:
     order = 1
     for p, e, exps in chi.locals:
-        group = local_unit_group(p, e)
-        for a, o in zip(exps, group.orders):
-            order = math.lcm(order, o // math.gcd(a, o))
+        order = math.lcm(order, _local_order(exps, local_unit_group(p, e).orders))
     return order
 
 
@@ -206,23 +212,13 @@ def is_real(chi: DirichletCharacter) -> bool:
 
 
 def _local_conductor(p: int, e: int, exps: tuple[int, ...]) -> int:
-    group = local_unit_group(p, e)
-    if p == 2:
-        if e == 1:
-            return 1
-        if e == 2:
-            return 4 if exps[0] % 2 else 1
-        a, b = exps[0] % 2, exps[1]
-        o = group.orders[1]
-        t = o // math.gcd(b, o)
-        if t == 1:
-            return 4 if a else 1
-        return 4 * t
-    order = 1
-    for a, o in zip(exps, group.orders):
-        order = math.lcm(order, o // math.gcd(a, o))
+    orders = local_unit_group(p, e).orders
+    order = _local_order(exps, orders)
     if order == 1:
         return 1
+    if p == 2:
+        # -1 alone has conductor 4; 5 of order t >= 2 has conductor 4t
+        return 4 if e == 2 or exps[1] % orders[1] == 0 else 4 * order
     return p ** (1 + ord_p(order, p))
 
 
@@ -339,10 +335,7 @@ def quad_decomp(eta: DirichletCharacter) -> tuple[DirichletCharacter, DirichletC
         raise ValueError("quad_decomp expects a primitive character")
     hat_parts, tilde_parts = [], []
     for p, e, exps in eta.locals:
-        group = local_unit_group(p, e)
-        order = 1
-        for a, o in zip(exps, group.orders):
-            order = math.lcm(order, o // math.gcd(a, o))
+        order = _local_order(exps, local_unit_group(p, e).orders)
         (hat_parts if order == 2 else tilde_parts).append((p, e, exps))
     return _mk_char(hat_parts), _mk_char(tilde_parts)
 

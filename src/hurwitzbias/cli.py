@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .bias import (
-    A1_closed,
-    bias_result,
-    density_scan,
-    empirical_A1,
-    sign_rules,
-)
-from .eisenstein import DEFAULT_CONFIG, Config, main_term, residual_series
+from .bias import DensityReport, a1_census, bias_result, empirical_A1
+from .eisenstein import DEFAULT_CONFIG, Config, main_term, reduce_residue
 from .frobenius import S_via_moments
 from .hurwitz import ensure_table, hurwitz_H, lambda_moment, moment_H
 from .verify import SUITES, run_suites
@@ -111,12 +105,14 @@ RESIDUAL_COLUMNS = ("n", "moment", "lambda", "main_term", "residual")
 
 
 def _residual_rows(m: int, M: int, max_n: int, cfg: Config):
-    series = residual_series(m, M, max_n, cfg)
+    m = reduce_residue(m, M)
     for n in range(1, max_n + 1):
         mom = moment_H(0, m, M, n)
         lam = lambda_moment(0, m, M, n)
         main = main_term(m, M, n, cfg)
-        yield (str(n), _fmt(mom), _fmt(lam), _fmt(main), _fmt(series.value(n)))
+        # the same arithmetic as cusp_residual_0, from the values already in hand
+        residual = float(mom + lam) - main
+        yield (str(n), _fmt(mom), _fmt(lam), _fmt(main), _fmt(residual))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -167,14 +163,16 @@ SCAN_COLUMNS = ("m", "M", "a1_num", "a1_den", "sign")
 
 
 def _cmd_scan(args) -> int:
-    report = density_scan(args.X)
     rows = []
-    for M in range(1, args.X + 1):
-        for m in range(1, M + 1):
-            v = A1_closed(m, M)
-            sign = 0 if v == 0 else (1 if v > 0 else -1)
-            rows.append((str(m), str(M), str(v.numerator), str(v.denominator),
-                         str(sign)))
+    counts = [0, 0, 0]
+    for M, ratios in a1_census(args.X):
+        for m, num, den in ratios:
+            sign = (num > 0) - (num < 0)
+            counts[sign + 1] += 1
+            g = math.gcd(num, den)
+            rows.append((str(m), str(M), str(num // g), str(den // g), str(sign)))
+    report = DensityReport(X=args.X, positive=counts[2], zero=counts[1],
+                           negative=counts[0])
     summary = (f"pairs {report.pairs} positive {report.positive_fraction:.4f} "
                f"negative {report.negative_fraction:.4f} "
                f"zero {report.zero_fraction:.4f}")
@@ -199,14 +197,8 @@ def _cmd_empirical(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite in (None, "all") else [args.suite]
-    if args.threads > 1:
-        # order-preserving; results do not depend on the worker count
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda n: SUITES[n](), names))
-    else:
-        reports = run_suites(names)
     failures = 0
-    for rep in reports:
+    for rep in run_suites(names):
         print(rep.summary())
         for f in rep.failures[:10]:
             print(f"    {f.inputs}: expected {f.expected}, got {f.got}")
@@ -283,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sign census over all classes with M <= X")
     p.add_argument("--X", type=int, required=True)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("empirical",
@@ -298,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=("all", *SUITES))
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -307,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, KeyError) as exc:

@@ -5,7 +5,7 @@ The expansion runs over primitive characters with conductor dividing the
 progression modulus and over an admissibility set of auxiliary divisors;
 each term carries an explicitly computable complex coefficient. Two
 coefficient readings are kept behind a Config switch; the verification
-suites pin the defaults.
+suites run under the defaults.
 """
 
 from __future__ import annotations
@@ -22,17 +22,14 @@ from .arith import (
     factorize,
     is_square,
     odd_part,
-    ord_p,
     p_part,
     squarefree_part,
 )
 from .characters import (
     DirichletCharacter,
     char_eval,
-    char_order,
     gauss_sum,
     kronecker_character,
-    local_unit_group,
     primitive_chars,
     quad_decomp,
     star_char,
@@ -67,6 +64,8 @@ DEFAULT_CONFIG = Config()
 
 def reduce_residue(m: int, M: int) -> int:
     """Representative of m in 1..M; the class of 0 is represented by M itself."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
     if m == 0:
         raise ValueError("the residue m = 0 is excluded")
     return m % M or M
@@ -298,12 +297,8 @@ class ResidualSeries:
 def residual_series(m: int, M: int, n_max: int, cfg: Config = DEFAULT_CONFIG) -> ResidualSeries:
     """Cusp residuals for n = 1..n_max as a dense series."""
     m = reduce_residue(m, M)
-    expansion = build_expansion(m, M, cfg)
-    vals = []
-    for n in range(1, n_max + 1):
-        exact = moment_H(0, m, M, n) + lambda_moment(0, m, M, n)
-        vals.append(float(exact) - expansion.evaluate(n))
-    return ResidualSeries(m, M, tuple(vals))
+    vals = tuple(cusp_residual_0(m, M, n, cfg) for n in range(1, n_max + 1))
+    return ResidualSeries(m, M, vals)
 
 
 @lru_cache(maxsize=None)
@@ -330,42 +325,3 @@ def S_set(m: int, M: int) -> tuple[DirichletCharacter, ...]:
             if in_S(eta, m, M, 1):
                 out.append(eta)
     return tuple(out)
-
-
-def s_set_by_local_bounds(m: int, M: int) -> tuple[DirichletCharacter, ...]:
-    """The same set by per-prime order and conductor bounds (local conductor
-    bound for quadratic components, trivial-or-quadratic elsewhere with two
-    exemptions).
-
-    An alternative reading kept for comparison; S_set is authoritative.
-    """
-    m = reduce_residue(m, M)
-    out = []
-    for n_eta in divisors(M):
-        for eta in primitive_chars(n_eta):
-            ok = True
-            for p, e, exps in eta.locals:
-                group = local_unit_group(p, e)
-                order = 1
-                for a, o in zip(exps, group.orders):
-                    order = math.lcm(order, o // math.gcd(a, o))
-                n_p = p**e
-                m_p2 = p_part(m, p) ** 2
-                if order == 2 and n_p > p * p * m_p2:
-                    ok = False
-                if order > 2 and not (
-                    (p != 2 and m % p) or (p == 2 and m % 4 == 2)
-                ):
-                    ok = False
-            if ok:
-                out.append(eta)
-    return tuple(out)
-
-
-def s_set_discrepancies(m: int, M: int):
-    """Characters on which S_set and s_set_by_local_bounds disagree."""
-    computed = set(S_set(m, M))
-    variant = set(s_set_by_local_bounds(m, M))
-    return tuple(sorted(computed - variant, key=str)), tuple(
-        sorted(variant - computed, key=str)
-    )

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import catalan_ext, is_square
+from .arith import catalan_ext
 
 _TABLE_HARD_LIMIT = 50_000_000
 
@@ -179,14 +179,6 @@ def cusp_coefficient(k: int, m: int, M: int, n: int) -> Fraction:
     for mu in range(1, k // 2 + 1):
         total += (-1) ** mu * math.comb(k - mu, mu) * n**mu * moment_H(k - 2 * mu, m, M, n)
     return total
-
-
-def bracket_moment(k: int, m: int, M: int, n: int) -> Fraction:
-    """Central-binomial bracket combination of the moments up to order k."""
-    total = Fraction(0)
-    for mu in range(k // 2 + 1):
-        total += (-1) ** mu * math.comb(k - mu, mu) * n**mu * moment_H(k - 2 * mu, m, M, n)
-    return math.comb(k, k // 2) * total
 
 
 def moment_via_reduction(k: int, m: int, M: int, n: int) -> Fraction:

@@ -74,12 +74,12 @@ class VerifySuiteReport:
 def suite_kronecker_hurwitz() -> VerifySuiteReport:
     """Class numbers summed over a full trace column equal 2p, p < 1000."""
     rep = VerifySuiteReport("kronecker-hurwitz")
-    t0 = time.time()
+    t0 = time.perf_counter()
     ensure_table(4 * 997)
     for p in primes_upto(999):
         got = moment_H(0, 1, 1, p)
         rep.check(got == 2 * p, f"p={p}", 2 * p, got)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     rep.check(rep.elapsed < 10, "runtime", "< 10 s", f"{rep.elapsed:.2f} s")
     return rep
 
@@ -87,7 +87,7 @@ def suite_kronecker_hurwitz() -> VerifySuiteReport:
 def suite_progressions() -> VerifySuiteReport:
     """Parity-split zeroth moments at odd primes match their closed forms."""
     rep = VerifySuiteReport("progressions")
-    t0 = time.time()
+    t0 = time.perf_counter()
     ensure_table(4 * 997)
     for p in primes_upto(999):
         if p == 2:
@@ -98,14 +98,14 @@ def suite_progressions() -> VerifySuiteReport:
                   Fraction(4 * p - 2, 3), even)
         rep.check(odd == Fraction(2 * p + 2, 3), f"p={p} odd traces",
                   Fraction(2 * p + 2, 3), odd)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_reduction_coefficients() -> VerifySuiteReport:
     """Closed form equals recursion; the alternating factorial sum vanishes."""
     rep = VerifySuiteReport("reduction-coefficients")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for k in range(41):
         for mu in range((k + 1) // 2 + 1):
             a = reduction_coefficient(k, mu)
@@ -115,14 +115,14 @@ def suite_reduction_coefficients() -> VerifySuiteReport:
         for k in range(2 * mu + 1, 31):
             s = reduction_identity_sum(k, mu)
             rep.check(s == 0, f"identity k={k} mu={mu}", 0, s)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_gauss() -> VerifySuiteReport:
     """Quadratic exponential sums: closed evaluation against direct summation."""
     rep = VerifySuiteReport("gauss")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for c in range(1, 61):
         for a in range(c):
             for b in range(c):
@@ -130,7 +130,7 @@ def suite_gauss() -> VerifySuiteReport:
                 closed = gauss_quad_closed(a, b, c)
                 rep.check(abs(closed - direct) < 1e-9,
                           f"a={a} b={b} c={c}", direct, closed)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
@@ -142,13 +142,17 @@ NONZERO_RESIDUAL_CLASSES = ((1, 6), (1, 7), (3, 8), (1, 9))
 
 
 def suite_eisenstein() -> VerifySuiteReport:
-    """Cusp residuals vanish exactly on the small-modulus classes and only there.
+    """Cusp residuals vanish on the small-modulus classes and not on four others.
 
-    This is the check that pins both interpretation switches in the
-    main-term coefficients; flipping either reading breaks it.
+    Under the default readings, the residual stays below 1e-6 for n <= 500
+    on every zero class, and exceeds 1e-3 somewhere in n <= 100 on each of
+    the four nonzero classes.  The suite does not tell the readings apart:
+    phi_reading gives the same residuals either way, and the other
+    eta0_reading values make the main term non-real on some visited class
+    (eta_hat only on (1, 7)), which raises instead of failing a check.
     """
     rep = VerifySuiteReport("eisenstein")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for m, M in ZERO_RESIDUAL_CLASSES:
         series = residual_series(m, M, 500)
         dev = max(abs(v) for v in series.values)
@@ -157,14 +161,14 @@ def suite_eisenstein() -> VerifySuiteReport:
         series = residual_series(m, M, 100)
         peak = max(abs(v) for v in series.values)
         rep.check(peak > 1e-3, f"nonzero class m={m} M={M}", "> 1e-3", peak)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_boundary() -> VerifySuiteReport:
     """First coefficient of moment plus correction matches the boundary table."""
     rep = VerifySuiteReport("boundary")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for M in range(6, 31):
         for m in range(1, M + 1):
             if m == M:
@@ -177,14 +181,14 @@ def suite_boundary() -> VerifySuiteReport:
                 want = Fraction(0)
             got = moment_H(0, m, M, 1) + lambda_moment(0, m, M, 1)
             rep.check(got == want, f"m={m} M={M}", want, got)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_schoof() -> VerifySuiteReport:
     """Curve tallies against the moment route, plus the total mass formula."""
     rep = VerifySuiteReport("schoof")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for q in (5, 7, 11, 13, 25, 49, 121):
         total = trace_mass_table(q).total_mass()
         rep.check(total == q, f"total mass q={q}", q, total)
@@ -207,7 +211,7 @@ def suite_schoof() -> VerifySuiteReport:
                     lhs = S_direct(k, m, M, p * p)
                     rhs = S_via_moments(k, m, M, p, 2)
                     rep.check(lhs == rhs, f"r=2 k={k} m={m} M={M} p={p}", rhs, lhs)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     rep.check(rep.elapsed < 60, "runtime", "< 60 s", f"{rep.elapsed:.2f} s")
     return rep
 
@@ -215,7 +219,7 @@ def suite_schoof() -> VerifySuiteReport:
 def suite_moments() -> VerifySuiteReport:
     """Higher moments rebuilt from the zeroth moment agree exactly."""
     rep = VerifySuiteReport("moments")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for k in range(7):
         for M in range(1, 7):
             for m in range(1, M + 1):
@@ -223,14 +227,14 @@ def suite_moments() -> VerifySuiteReport:
                     a = moment_via_reduction(k, m, M, n)
                     b = moment_H(k, m, M, n)
                     rep.check(a == b, f"k={k} m={m} M={M} n={n}", b, a)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_bias_routes() -> VerifySuiteReport:
     """Residue-sum and closed-form bias averages agree; pinned values hold."""
     rep = VerifySuiteReport("bias-routes")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for M in range(1, 37):
         for m in range(1, M + 1):
             dev = abs(A1_chars(m, M) - float(A1_closed(m, M)))
@@ -245,14 +249,14 @@ def suite_bias_routes() -> VerifySuiteReport:
               A1_closed(2, 5))
     rep.check(abs(A2_closed(1, 3) + 0.125) < 1e-9, "A2(1,3)", -0.125,
               A2_closed(1, 3))
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_signs() -> VerifySuiteReport:
     """The four sign classifications, scanned over their full ranges."""
     rep = VerifySuiteReport("signs")
-    t0 = time.time()
+    t0 = time.perf_counter()
     # the first moment average vanishes exactly when there is no congruence
     for M in range(1, 501):
         ok = all((A1_closed(m, M) == 0) == (M == 1) for m in range(1, M + 1))
@@ -284,14 +288,14 @@ def suite_signs() -> VerifySuiteReport:
             want_neg = math.gcd(m, odd_part(M)) == 1
             rep.check(abs(v) > 1e-9 and (v < 0) == want_neg,
                       f"A2 sign m={m} M={M}", want_neg, v)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
 def suite_density() -> VerifySuiteReport:
     """Sign densities over all classes with modulus up to 1000."""
     rep = VerifySuiteReport("density")
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = density_scan(1000)
     rep.check(abs(report.positive_fraction - 0.44) <= 0.01,
               "positive fraction", "0.44 +- 0.01", report.positive_fraction)
@@ -301,7 +305,7 @@ def suite_density() -> VerifySuiteReport:
               "positive lower bound", ">= 1/4", report.positive_fraction)
     rep.check(report.negative_fraction >= 1 / (2 * math.pi**2),
               "negative lower bound", ">= 1/(2 pi^2)", report.negative_fraction)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     rep.check(rep.elapsed < 30, "runtime", "< 30 s", f"{rep.elapsed:.2f} s")
     return rep
 
@@ -309,12 +313,12 @@ def suite_density() -> VerifySuiteReport:
 def suite_equidistribution() -> VerifySuiteReport:
     """Averages over actual primes track the closed forms at X = 10^5."""
     rep = VerifySuiteReport("equidistribution")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for m, M in ((1, 3), (2, 5), (1, 4), (3, 8)):
         emp = empirical_A1(m, M, 100_000)
         dev = abs(emp - float(A1_closed(m, M)))
         rep.check(dev < 0.02, f"m={m} M={M}", "< 0.02", dev)
-    rep.elapsed = time.time() - t0
+    rep.elapsed = time.perf_counter() - t0
     return rep
 
 

@@ -5,19 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzbias.arith import euler_phi, factorize, odd_part
+from hurwitzbias.arith import factorize
 from hurwitzbias.bias import (
     A1_chars,
     A1_closed,
     A2_chars,
     A2_closed,
-    a2_first_term_product_form,
     bias_result,
     delta_star,
     delta_star_sq,
     density_scan,
     empirical_A1,
-    epsilon_four_case,
     epsilon_mM,
     sign_rules,
 )
@@ -86,36 +84,6 @@ def test_constant_block_matches_indicator_average():
                 xbar = pow(x, -1, M)
                 direct -= delta_star_sq(x, m, M) + moment_H(2, (xbar * m) % M, M, 1)
             assert epsilon_mM(m, M) == direct, (m, M)
-
-
-def test_four_case_constant_diverges_only_on_doubled_classes():
-    for M in range(3, 41):
-        for m in range(1, M + 1):
-            doubled = (
-                M % 4 == 0
-                and m % 4 == 2
-                and math.gcd(m // 2, odd_part(M)) == 1
-            )
-            if doubled:
-                assert epsilon_mM(m, M) == Fraction(-8, 3)
-                assert epsilon_four_case(m, M) == Fraction(-4, 3)
-            else:
-                assert epsilon_mM(m, M) == epsilon_four_case(m, M), (m, M)
-
-
-def test_product_first_term_breaks_past_small_common_factors():
-    # the fully multiplicative rewrite of the leading block is only valid
-    # while gcd(m, M) avoids 4 and every prime >= 5
-    for M in range(3, 29):
-        for m in range(1, M + 1):
-            g = math.gcd(m, M)
-            fine = g % 4 != 0 and all(q < 5 for q, _ in factorize(g))
-            true_first = 2 * euler_phi(M) * A2_closed(m, M) - float(epsilon_mM(m, M))
-            dev = abs(a2_first_term_product_form(m, M) - true_first)
-            if fine:
-                assert dev < 1e-9, (m, M)
-            else:
-                assert dev > 1e-3, (m, M)
 
 
 def test_sign_rule_examples():

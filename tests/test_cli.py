@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hurwitzbias.bias import A1_closed, density_scan
 from hurwitzbias.cli import main
 
 
@@ -96,6 +97,27 @@ def test_scan_csv_file(tmp_path, capsys):
     assert len(lines) == 16
 
 
+def test_scan_rows_match_closed_form_and_census(capsys):
+    code, out, err = run(capsys, "scan", "--X", "30")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "m,M,a1_num,a1_den,sign"
+    signs = []
+    for line in lines[1:]:
+        m, M, num, den, sign = map(int, line.split(","))
+        value = A1_closed(m, M)
+        assert (num, den) == (value.numerator, value.denominator)
+        assert sign == (value > 0) - (value < 0)
+        signs.append(sign)
+    report = density_scan(30)
+    assert len(signs) == report.pairs
+    assert (signs.count(1), signs.count(0), signs.count(-1)) \
+        == (report.positive, report.zero, report.negative)
+    assert err == (f"pairs {report.pairs} positive {report.positive_fraction:.4f} "
+                   f"negative {report.negative_fraction:.4f} "
+                   f"zero {report.zero_fraction:.4f}\n")
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "boundary")
     assert code == 0
@@ -105,14 +127,16 @@ def test_verify_single_suite(capsys):
 def test_flag_errors_exit_two(capsys):
     assert run(capsys, "moment", "--k", "0", "--m", "1", "--M", "0",
                "--n", "5")[0] == 2
+    for argv in (("empirical", "--m", "1", "--M", "0", "--X", "100"),
+                 ("empirical", "--m", "1", "--M", "-1", "--X", "100"),
+                 ("residual", "--m", "1", "--M", "0", "--max-n", "5"),
+                 ("main-term", "--m", "1", "--M", "0", "--n", "5")):
+        assert run(capsys, *argv) == (2, "", "error: M must be >= 1\n"), argv
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["moment", "--k", "0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--X", "5", "--threads", "0"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not-a-suite"])

@@ -26,7 +26,6 @@ from hurwitzbias.eisenstein import (
     psi,
     reduce_residue,
     residual_series,
-    s_set_discrepancies,
     sigma_twisted,
 )
 from hurwitzbias.hurwitz import lambda_moment, moment_H
@@ -252,23 +251,15 @@ def test_residual_growth_stays_cusp_like():
 
 def test_S_set_examples():
     assert S_set(1, 1) == (TRIV,)
+    assert S_set(1, 2) == (TRIV,)
     assert set(S_set(1, 3)) == {TRIV, CHI_M3}
+    assert set(S_set(2, 3)) == {TRIV, CHI_M3}
+    assert set(S_set(2, 5)) == {TRIV, *primitive_chars(5)}
     # All four characters of conductor dividing 5 participate for 1 mod 5,
     # including the pair of order four.
     s15 = S_set(1, 5)
     assert len(s15) == 4
     assert sum(1 for c in s15 if char_order(c) == 4) == 2
-
-
-def test_variant_reading_diverges_at_one_mod_four():
-    extra_computed, extra_variant = s_set_discrepancies(1, 4)
-    assert extra_computed == ()
-    assert CHI_M4 in extra_variant
-
-
-def test_variant_reading_agrees_on_small_classes():
-    for m, M in [(1, 1), (1, 2), (1, 3), (2, 3), (1, 5), (2, 5)]:
-        assert s_set_discrepancies(m, M) == ((), ())
 
 
 def test_expansion_structure():

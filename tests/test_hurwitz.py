@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hurwitzbias.arith import primes_upto
 from hurwitzbias.hurwitz import (
     HurwitzTable,
-    bracket_moment,
     cusp_coefficient,
     ensure_table,
     hurwitz_H,
@@ -141,12 +140,6 @@ def test_reduction_identity_vanishes():
 def test_cusp_coefficient_requires_positive_order():
     with pytest.raises(ValueError):
         cusp_coefficient(0, 1, 1, 5)
-
-
-def test_bracket_low_orders():
-    assert bracket_moment(0, 0, 1, 5) == moment_H(0, 0, 1, 5)
-    assert bracket_moment(1, 1, 3, 7) == moment_H(1, 1, 3, 7)
-    assert bracket_moment(2, 0, 1, 5) == 2 * (moment_H(2, 0, 1, 5) - 5 * moment_H(0, 0, 1, 5))
 
 
 def test_moment_via_reduction_matches():
