@@ -40,7 +40,7 @@ from .hurwitz import (
     moment_H,
     moment_via_reduction,
 )
-from .verify import SUITES, VerifySuiteReport, run_suites
+from .verify import SUITES, VerifySuiteReport, run_suite, run_suites
 
 __version__ = "0.1.0"
 
@@ -71,6 +71,7 @@ __all__ = [
     "moment_H",
     "moment_via_reduction",
     "residual_series",
+    "run_suite",
     "run_suites",
     "sign_rules",
     "trace_mass_table",

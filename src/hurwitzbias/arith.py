@@ -62,38 +62,9 @@ def _pollard_rho(n: int) -> int:
         c += 1  # cycle collapsed onto itself, retry with a different polynomial
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as (prime, exponent) pairs with primes ascending."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.pairs:
-            if q == p:
-                return e
-        return 0
-
-
 @lru_cache(maxsize=None)
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer (trial division, then Pollard rho for leftovers)."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Ascending (prime, exponent) pairs of n >= 1 (trial division, then Pollard rho)."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n >> 63:
@@ -123,7 +94,7 @@ def factorize(n: int) -> Factorization:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(tuple(sorted(found.items())))
+    return tuple(sorted(found.items()))
 
 
 def divisors(n: int) -> list[int]:
@@ -139,25 +110,6 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
     return out
-
-
-def moebius(n: int) -> int:
-    f = factorize(n)
-    if any(e > 1 for _, e in f):
-        return 0
-    return -1 if len(f) % 2 else 1
-
-
-def moebius_ext(r) -> int:
-    """Moebius function extended by zero to non-integral positive rationals."""
-    if isinstance(r, Fraction) and r.denominator != 1:
-        if r <= 0:
-            raise ValueError("moebius_ext requires a positive argument")
-        return 0
-    n = int(r)
-    if n != r or n <= 0:
-        raise ValueError("moebius_ext requires a positive argument")
-    return moebius(n)
 
 
 def kronecker(a: int, n: int) -> int:

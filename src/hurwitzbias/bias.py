@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .arith import euler_phi, factorize, odd_part, primes_upto
-from .characters import char_order
+from .characters import is_real
 from .eisenstein import (
     Config,
     DEFAULT_CONFIG,
@@ -137,7 +137,7 @@ def A2_closed(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
         raise ValueError("M must be >= 3")
     total = 0j
     for eta in S_set(m, M):
-        if char_order(eta) <= 2:
+        if is_real(eta):
             total += coeff_a(eta, 1, m, M, cfg)
     if abs(total.imag) >= _IM_TOL:
         raise ArithmeticError(f"real-character block came out complex: {total!r}")
@@ -177,7 +177,7 @@ def sign_rules(m: int, M: int) -> tuple[SignPrediction, ...]:
     out = []
     if M == 1:
         out.append(SignPrediction("A1", "full interval is unbiased", 0))
-    fac = tuple(factorize(M)) if M > 1 else ()
+    fac = factorize(M) if M > 1 else ()
     if M > 1 and M % 2 == 1 and len(fac) == 1:
         p = fac[0][0]
         positive = m % p in (1, p - 1)

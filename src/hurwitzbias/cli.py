@@ -115,12 +115,16 @@ def _residual_rows(m: int, M: int, max_n: int, cfg: Config):
         yield (str(n), _fmt(mom), _fmt(lam), _fmt(main), _fmt(residual))
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _emit_csv(stream, header, lines) -> None:
+    stream.write(",".join(header) + "\n")
+    for line in lines:
+        stream.write(line + "\n")
+
+
+def _write_csv(path: str, header, lines) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            _emit_csv(fh, header, lines)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
@@ -130,17 +134,16 @@ def _cmd_residual(args) -> int:
         raise ValueError("--max-n must be >= 1")
     cfg = _config_from_args(args)
     rows = list(_residual_rows(args.m, args.M, args.max_n, cfg))
+    lines = (",".join(row) for row in rows)
     if args.out:
-        _write_csv(args.out, RESIDUAL_COLUMNS, rows)
+        _write_csv(args.out, RESIDUAL_COLUMNS, lines)
         print(f"wrote {len(rows)} rows to {args.out}")
     elif args.format == "json":
         payload = {"columns": list(RESIDUAL_COLUMNS),
                    "rows": [list(r) for r in rows]}
         print(_canonical_json(payload))
     else:
-        print(",".join(RESIDUAL_COLUMNS))
-        for row in rows:
-            print(",".join(row))
+        _emit_csv(sys.stdout, RESIDUAL_COLUMNS, lines)
     return 0
 
 
@@ -163,28 +166,26 @@ SCAN_COLUMNS = ("m", "M", "a1_num", "a1_den", "sign")
 
 
 def _cmd_scan(args) -> int:
-    rows = []
+    lines = []
     counts = [0, 0, 0]
     for M, ratios in a1_census(args.X):
         for m, num, den in ratios:
             sign = (num > 0) - (num < 0)
             counts[sign + 1] += 1
             g = math.gcd(num, den)
-            rows.append((str(m), str(M), str(num // g), str(den // g), str(sign)))
+            lines.append(f"{m},{M},{num // g},{den // g},{sign}")
     report = DensityReport(X=args.X, positive=counts[2], zero=counts[1],
                            negative=counts[0])
     summary = (f"pairs {report.pairs} positive {report.positive_fraction:.4f} "
                f"negative {report.negative_fraction:.4f} "
                f"zero {report.zero_fraction:.4f}")
     if args.out:
-        _write_csv(args.out, SCAN_COLUMNS, rows)
-        print(f"wrote {len(rows)} rows to {args.out}")
+        _write_csv(args.out, SCAN_COLUMNS, lines)
+        print(f"wrote {len(lines)} rows to {args.out}")
         print(summary)
     else:
         # keep stdout parseable as CSV; the summary goes to stderr
-        print(",".join(SCAN_COLUMNS))
-        for row in rows:
-            print(",".join(row))
+        _emit_csv(sys.stdout, SCAN_COLUMNS, lines)
         print(summary, file=sys.stderr)
     return 0
 

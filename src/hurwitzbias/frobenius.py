@@ -123,7 +123,7 @@ def trace_mass_table(q: int) -> TraceMassTable:
     """Enumerate all curves over F_q (q = p or p^2, p >= 5) grouped by trace."""
     if q > _Q_CAP:
         raise ValueError(f"field size {q} exceeds the enumeration cap {_Q_CAP}")
-    pairs = tuple(factorize(q))
+    pairs = factorize(q)
     if len(pairs) != 1 or pairs[0][1] > 2:
         raise ValueError("q must be p or p^2 for a prime p")
     p, r = pairs[0]

@@ -5,11 +5,11 @@ line per gate.  The suites themselves live in hurwitzbias.verify so
 the CLI `verify` subcommand exercises exactly the same code.
 """
 
-from hurwitzbias.verify import SUITES
+from hurwitzbias.verify import run_suite
 
 
 def _run(name):
-    report = SUITES[name]()
+    report = run_suite(name)
     print(report.summary())
     detail = "; ".join(
         f"{f.inputs}: expected {f.expected}, got {f.got}"

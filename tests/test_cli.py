@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hurwitzbias import verify
 from hurwitzbias.bias import A1_closed, density_scan
 from hurwitzbias.cli import main
 
@@ -122,6 +123,17 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "boundary")
     assert code == 0
     assert out.startswith("pass boundary: 450 checks")
+
+
+def test_runtime_bound_failure_path(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "RUNTIME_BOUNDS", {"boundary": 0})
+    report = verify.run_suite("boundary")
+    assert report.checks == 451
+    assert [f.inputs for f in report.failures] == ["runtime"]
+    code, out, _ = run(capsys, "verify", "boundary")
+    assert code == 1
+    assert out.startswith("FAIL boundary: 451 checks, 1 failures")
+    assert "    runtime: expected < 0 s, got " in out
 
 
 def test_flag_errors_exit_two(capsys):
