@@ -14,12 +14,12 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .arith import euler_phi, factorize, odd_part, primes_upto
-from .characters import is_real
+from .characters import real_primitive_chars
 from .eisenstein import (
     Config,
     DEFAULT_CONFIG,
-    S_set,
     coeff_a,
+    in_S,
     leading_coefficients,
     prefactor,
 )
@@ -131,13 +131,14 @@ def A2_closed(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
 
     Orthogonality kills every non-real character in the residue average, so
     the first block is phi(M) * prefactor * sum of the real-character
-    leading coefficients.
+    leading coefficients. The sum runs over the cached real primitive
+    characters of M that admit d = 1, in S_set's order.
     """
     if M < 3:
         raise ValueError("M must be >= 3")
     total = 0j
-    for eta in S_set(m, M):
-        if is_real(eta):
+    for eta in real_primitive_chars(M):
+        if in_S(eta, m, M, 1):
             total += coeff_a(eta, 1, m, M, cfg)
     if abs(total.imag) >= _IM_TOL:
         raise ArithmeticError(f"real-character block came out complex: {total!r}")

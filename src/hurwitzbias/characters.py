@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .arith import eps, factorize, inverse_mod, kronecker, ord_p
+from .arith import divisors, eps, factorize, inverse_mod, kronecker, ord_p
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,6 +73,11 @@ class RootOfUnity:
         if self.zero:
             return self
         return RootOfUnity(False, -self.expo)
+
+
+# Shared values for char_eval's trivial and non-unit cases (the class is frozen).
+_ONE = RootOfUnity.one()
+_ZERO = RootOfUnity.zero_value()
 
 
 @dataclass(frozen=True)
@@ -160,10 +165,10 @@ def principal_character(modulus: int) -> DirichletCharacter:
 
 def char_eval(chi: DirichletCharacter, n: int) -> RootOfUnity:
     if chi.modulus == 1:
-        return RootOfUnity.one()
+        return _ONE
     n %= chi.modulus
     if math.gcd(n, chi.modulus) != 1:
-        return RootOfUnity.zero_value()
+        return _ZERO
     expo = Fraction(0)
     for p, e, exps in chi.locals:
         group = local_unit_group(p, e)
@@ -236,6 +241,19 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 @lru_cache(maxsize=None)
 def primitive_chars(modulus: int) -> tuple[DirichletCharacter, ...]:
     return tuple(chi for chi in enumerate_chars(modulus) if is_primitive(chi))
+
+
+@lru_cache(maxsize=1 << 12)
+def real_primitive_chars(modulus: int) -> tuple[DirichletCharacter, ...]:
+    """The real primitive characters with conductor dividing `modulus`.
+
+    Ordered by conductor, then as in primitive_chars, so that sums over
+    them add their terms in the same order as sums over every primitive
+    character that skip the non-real ones.
+    """
+    return tuple(
+        chi for n in divisors(modulus) for chi in primitive_chars(n) if is_real(chi)
+    )
 
 
 def _crt_unit_lift(residue: int, q: int, modulus: int) -> int:

@@ -172,33 +172,52 @@ def phi2(eta: DirichletCharacter, cfg: Config = DEFAULT_CONFIG) -> complex:
     return 1 + 0j
 
 
+@lru_cache(maxsize=1 << 12)
+def _char_factors(eta: DirichletCharacter, cfg: Config) -> tuple:
+    """The factors of coeff_a that depend on eta alone, in the order it uses them."""
+    hat, tilde = quad_decomp(eta)
+    star = star_char(eta)
+    phi_n = euler_phi(tilde.modulus if cfg.phi_reading == "eta_tilde" else star.modulus)
+    return (
+        hat,
+        tilde,
+        (eps(odd_part(_eta0_conductor(eta, cfg))) ** 3).value,
+        char_eval(star, hat.modulus).value,
+        phi2(eta, cfg),
+        gauss_sum(star),
+        phi_n,
+        gauss_sum(eta),
+        math.sqrt(eta.modulus),
+    )
+
+
 def coeff_a(
     eta: DirichletCharacter, d: int, m: int, M: int, cfg: Config = DEFAULT_CONFIG
 ) -> complex:
     """Coefficient of sigma_twisted(eta, n/d) in the main-term expansion
     (without the global rational prefactor)."""
     m = reduce_residue(m, M)
-    hat, tilde = quad_decomp(eta)
-    star = star_char(eta)
+    hat, tilde, eps3, star_at_hat, phi2_eta, g_star, phi_n, g_eta, sqrt_n = (
+        _char_factors(eta, cfg)
+    )
     n_eta = eta.modulus
     g = math.gcd(4 * d, m * m)
 
-    num = (eps(odd_part(_eta0_conductor(eta, cfg))) ** 3).value
+    num = eps3
     num *= char_eval(eta, 4 * d // g).value
-    num *= char_eval(star, hat.modulus).value
-    num *= phi2(eta, cfg)
-    num *= gauss_sum(star)
+    num *= star_at_hat
+    num *= phi2_eta
+    num *= g_star
 
     dd_m = squarefree_part(m * m // g)
     den_tilde = char_eval(tilde, m * m // g)
     den_hat = char_eval(hat, dd_m)
     if den_tilde.zero or den_hat.zero:
         raise ValueError("denominator character vanished; d is not admissible")
-    phi_n = euler_phi(tilde.modulus if cfg.phi_reading == "eta_tilde" else star.modulus)
-    den = den_tilde.value * den_hat.value * phi_n * gauss_sum(eta)
+    den = den_tilde.value * den_hat.value * phi_n * g_eta
 
     sq = squarefree_part(d)
-    scale = math.isqrt(d // sq) / math.sqrt(n_eta)
+    scale = math.isqrt(d // sq) / sqrt_n
 
     local = Fraction(1)
     for p, _ in factorize(M):
