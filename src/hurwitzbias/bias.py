@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .arith import euler_phi, factorize, odd_part, primes_upto
-from .characters import real_primitive_chars
+from .characters import char_table, real_primitive_chars, root_values
 from .eisenstein import (
     Config,
     DEFAULT_CONFIG,
@@ -50,11 +50,11 @@ def leading_sum(
     Sums prefactor * coeff_a(eta, 1) * eta(x)^power over the participating
     characters; the imaginary parts must cancel.
     """
-    from .characters import char_eval
-
     total = 0j
     for eta, coeff in leading_coefficients(m, M, cfg):
-        total += coeff * char_eval(eta, x).value ** power
+        L, e = char_table(eta)
+        k = e[x % eta.modulus]
+        total += coeff * (root_values(L)[k] if k >= 0 else 0j) ** power
     if abs(total.imag) >= _IM_TOL:
         raise ArithmeticError(f"residue average strayed off the real axis: {total!r}")
     return total.real

@@ -2,8 +2,11 @@
 
 Characters are stored by their exponents on fixed generators of the local
 unit groups (Z/p^e)^*, so evaluation, products, conductors and induction are
-all exact integer arithmetic. Values are roots of unity tracked by their
-exponent as a Fraction, converted to complex only at the edge.
+all exact integer arithmetic. Each character is evaluated from one cached
+integer table (char_table): chi(x) = e(e[x]/L), with L the lcm of the local
+generator orders and e[x] = -1 off the units. char_eval wraps a table entry
+as an exact RootOfUnity; the hot sums read the table and the per-L complex
+values of root_values directly.
 """
 
 from __future__ import annotations
@@ -75,9 +78,14 @@ class RootOfUnity:
         return RootOfUnity(False, -self.expo)
 
 
-# Shared values for char_eval's trivial and non-unit cases (the class is frozen).
-_ONE = RootOfUnity.one()
+# Shared value for char_eval's non-unit case (the class is frozen).
 _ZERO = RootOfUnity.zero_value()
+
+
+@lru_cache(maxsize=1 << 10)
+def root_values(L: int) -> tuple[complex, ...]:
+    """The complex values e(k/L) for k < L, each as RootOfUnity gives it."""
+    return tuple(RootOfUnity.from_expo(Fraction(k, L)).value for k in range(L))
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ class LocalUnitGroup:
         return hash((self.prime, self.exp))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def local_unit_group(p: int, e: int) -> LocalUnitGroup:
     q = p**e
     if p == 2:
@@ -163,20 +171,36 @@ def principal_character(modulus: int) -> DirichletCharacter:
     return _mk_char(parts)
 
 
-def char_eval(chi: DirichletCharacter, n: int) -> RootOfUnity:
-    if chi.modulus == 1:
-        return _ONE
-    n %= chi.modulus
-    if math.gcd(n, chi.modulus) != 1:
-        return _ZERO
-    expo = Fraction(0)
+@lru_cache(maxsize=1 << 12)
+def char_table(chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
+    """chi as (L, e): chi(x) = e(e[x]/L) for x mod the modulus, e[x] = -1 off the units.
+
+    L is the lcm of the local generator orders; e[x] sums a * d * (L / o)
+    mod L over the discrete-log digits d of x.
+    """
+    L = 1
+    for p, e, _ in chi.locals:
+        L = math.lcm(L, *local_unit_group(p, e).orders)
+    table = [0] * chi.modulus
     for p, e, exps in chi.locals:
         group = local_unit_group(p, e)
-        digits = group.dlog[n % p**e]
-        for a, d, o in zip(exps, digits, group.orders):
-            if a:
-                expo += Fraction(a * d, o)
-    return RootOfUnity.from_expo(expo)
+        q = p**e
+        local = [-1] * q
+        for r, digits in group.dlog.items():
+            local[r] = sum(
+                a * d * (L // o) for a, d, o in zip(exps, digits, group.orders)
+            ) % L
+        for x, k in enumerate(table):
+            if k >= 0:
+                v = local[x % q]
+                table[x] = -1 if v < 0 else (k + v) % L
+    return L, tuple(table)
+
+
+def char_eval(chi: DirichletCharacter, n: int) -> RootOfUnity:
+    L, e = char_table(chi)
+    k = e[n % chi.modulus]
+    return _ZERO if k < 0 else RootOfUnity.from_expo(Fraction(k, L))
 
 
 def enumerate_chars(modulus: int) -> list[DirichletCharacter]:
@@ -238,7 +262,7 @@ def is_primitive(chi: DirichletCharacter) -> bool:
     return conductor(chi) == chi.modulus
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def primitive_chars(modulus: int) -> tuple[DirichletCharacter, ...]:
     return tuple(chi for chi in enumerate_chars(modulus) if is_primitive(chi))
 
@@ -321,7 +345,7 @@ def char_product(a: DirichletCharacter, b: DirichletCharacter) -> DirichletChara
     return from_values(m, lambda x: char_eval(a, x) * char_eval(b, x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def kronecker_character(bottom: int) -> DirichletCharacter:
     """The primitive character agreeing with x -> kronecker(x, bottom) on units.
 
@@ -341,6 +365,7 @@ def kronecker_character(bottom: int) -> DirichletCharacter:
     return _mk_char(parts)
 
 
+@lru_cache(maxsize=1 << 12)
 def quad_decomp(eta: DirichletCharacter) -> tuple[DirichletCharacter, DirichletCharacter]:
     """Split a primitive character into quadratic and non-quadratic local parts.
 
@@ -358,7 +383,7 @@ def quad_decomp(eta: DirichletCharacter) -> tuple[DirichletCharacter, DirichletC
     return _mk_char(hat_parts), _mk_char(tilde_parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def star_char(eta: DirichletCharacter) -> DirichletCharacter:
     """Primitive character inducing (non-quadratic part) * kronecker(x, its conductor)."""
     _, tilde = quad_decomp(eta)
@@ -366,17 +391,18 @@ def star_char(eta: DirichletCharacter) -> DirichletCharacter:
     return induce_primitive(char_product(tilde, kc))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """Classical Gauss sum: sum of chi(x) e(x/M) over x mod M."""
     m = chi.modulus
     if m == 1:
         return 1 + 0j
+    L, e = char_table(chi)
+    roots = root_values(L)
     total = 0j
-    for x in range(m):
-        v = char_eval(chi, x)
-        if not v.zero:
-            total += v.value * cmath.exp(TWO_PI * 1j * x / m)
+    for x, k in enumerate(e):
+        if k >= 0:
+            total += roots[k] * cmath.exp(TWO_PI * 1j * x / m)
     return total
 
 

@@ -28,10 +28,12 @@ from .arith import (
 from .characters import (
     DirichletCharacter,
     char_eval,
+    char_table,
     gauss_sum,
     kronecker_character,
     primitive_chars,
     quad_decomp,
+    root_values,
     star_char,
 )
 from .hurwitz import lambda_moment, moment_H
@@ -71,6 +73,7 @@ def reduce_residue(m: int, M: int) -> int:
     return m % M or M
 
 
+@lru_cache(maxsize=1 << 12)
 def prefactor(M: int) -> Fraction:
     """2*zeta(2)/(M*L(2, principal mod M)) collapsed to a rational."""
     out = Fraction(2, M)
@@ -118,28 +121,39 @@ def psi(d: int, m: int, p: int, M: int) -> Fraction:
     m_p = p_part(m, p)
     M_p = p_part(M, p)
     m_p2 = m_p * m_p
+    pp = p * p
+    # Each branch is one exact Fraction; the comments give the unsimplified form.
     if d_p == m_p2:
-        out = Fraction(1)
+        # 1 + [1 < d_p < M_p^2] / p^2 - [m_p < M_p] / (p^2 - p)
+        num = den = pp * (p - 1)
         if 1 < d_p < M_p * M_p:
-            out += Fraction(1, p * p)
+            num += p - 1
         if m_p < M_p:
-            out -= Fraction(1, p * p - p)
-        return out
+            num -= p
+        return Fraction(num, den)
     if d_p == p * m_p2:
-        return -1 + Fraction(p * p + 1, p * p - p)
-    if d_p == p * p * m_p2:
-        return 1 - Fraction(p * p, p * p - p)
+        return Fraction(p + 1, pp - p)  # -1 + (p^2 + 1) / (p^2 - p)
+    if d_p == pp * m_p2:
+        return Fraction(-1, p - 1)  # 1 - p^2 / (p^2 - p)
     if d_p < m_p2:
         if is_square(d_p):
-            out = Fraction(1)
-            if 1 < d_p < M_p * M_p:
-                out += Fraction(1, p * p)
-            return out
+            # 1 + [1 < d_p < M_p^2] / p^2
+            return Fraction(pp + 1, pp) if 1 < d_p < M_p * M_p else Fraction(1)
         # The non-square branch needs -1 - 1/p: pinned empirically by the
         # exact vanishing of the cusp residual for every class with M <= 5,
         # across p in {2, 3, 5} and several divisor depths.
-        return -1 - Fraction(1, p)
+        return Fraction(-p - 1, p)
     raise ValueError("local divisor outside the admissible range")
+
+
+@lru_cache(maxsize=1 << 16)
+def _psi_product(d: int, m: int, M: int, n_eta: int) -> Fraction:
+    """Product of psi(d, m, p, M) over the primes p | M that do not divide n_eta."""
+    out = Fraction(1)
+    for p, _ in factorize(M):
+        if n_eta % p:
+            out *= psi(d, m, p, M)
+    return out
 
 
 def _local_component(eta: DirichletCharacter, p: int) -> DirichletCharacter:
@@ -174,13 +188,20 @@ def phi2(eta: DirichletCharacter, cfg: Config = DEFAULT_CONFIG) -> complex:
 
 @lru_cache(maxsize=1 << 12)
 def _char_factors(eta: DirichletCharacter, cfg: Config) -> tuple:
-    """The factors of coeff_a that depend on eta alone, in the order it uses them."""
+    """The factors of coeff_a that depend on eta alone, in the order it uses them.
+
+    Each of eta, tilde and hat comes as its modulus, its char_table entries
+    and the root_values of its table.
+    """
     hat, tilde = quad_decomp(eta)
     star = star_char(eta)
     phi_n = euler_phi(tilde.modulus if cfg.phi_reading == "eta_tilde" else star.modulus)
+    tables = []
+    for chi in (eta, tilde, hat):
+        L, e = char_table(chi)
+        tables.append((chi.modulus, e, root_values(L)))
     return (
-        hat,
-        tilde,
+        *tables,
         (eps(odd_part(_eta0_conductor(eta, cfg))) ** 3).value,
         char_eval(star, hat.modulus).value,
         phi2(eta, cfg),
@@ -197,33 +218,32 @@ def coeff_a(
     """Coefficient of sigma_twisted(eta, n/d) in the main-term expansion
     (without the global rational prefactor)."""
     m = reduce_residue(m, M)
-    hat, tilde, eps3, star_at_hat, phi2_eta, g_star, phi_n, g_eta, sqrt_n = (
-        _char_factors(eta, cfg)
-    )
-    n_eta = eta.modulus
+    (
+        (n_eta, e_eta, roots_eta),
+        (n_tilde, e_tilde, roots_tilde),
+        (n_hat, e_hat, roots_hat),
+        eps3, star_at_hat, phi2_eta, g_star, phi_n, g_eta, sqrt_n,
+    ) = _char_factors(eta, cfg)
     g = math.gcd(4 * d, m * m)
 
+    k = e_eta[4 * d // g % n_eta]
     num = eps3
-    num *= char_eval(eta, 4 * d // g).value
+    num *= roots_eta[k] if k >= 0 else 0j
     num *= star_at_hat
     num *= phi2_eta
     num *= g_star
 
-    dd_m = squarefree_part(m * m // g)
-    den_tilde = char_eval(tilde, m * m // g)
-    den_hat = char_eval(hat, dd_m)
-    if den_tilde.zero or den_hat.zero:
+    k_tilde = e_tilde[m * m // g % n_tilde]
+    k_hat = e_hat[squarefree_part(m * m // g) % n_hat]
+    if k_tilde < 0 or k_hat < 0:
         raise ValueError("denominator character vanished; d is not admissible")
-    den = den_tilde.value * den_hat.value * phi_n * g_eta
+    den = roots_tilde[k_tilde] * roots_hat[k_hat] * phi_n * g_eta
 
     sq = squarefree_part(d)
     scale = math.isqrt(d // sq) / sqrt_n
 
-    local = Fraction(1)
-    for p, _ in factorize(M):
-        if n_eta % p:
-            local *= psi(d, m, p, M)
-    for p, _ in factorize(hat.modulus):
+    local = _psi_product(d, m, M, n_eta)
+    for p, _ in factorize(n_hat):
         n_p = p_part(n_eta, p)
         if p_part(d, p) * n_p * n_p == p * p * p_part(m, p) ** 2:
             local *= Fraction(1, 1 - p)
@@ -231,17 +251,20 @@ def coeff_a(
     return num / den * scale * float(local)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _sigma_twisted_cached(eta: DirichletCharacter, n: int) -> complex:
+    L, e = char_table(eta)
+    roots = root_values(L)
+    n_eta = eta.modulus
     total = 0j
     for d in divisors(n):
-        a = char_eval(eta, n // d)
-        if a.zero:
+        a = e[n // d % n_eta]
+        if a < 0:
             continue
-        b = char_eval(eta, d)
-        if b.zero:
+        b = e[d % n_eta]
+        if b < 0:
             continue
-        total += (a * b).value * d
+        total += roots[(a + b) % L] * d
     return total
 
 
@@ -275,7 +298,7 @@ class MainTermExpansion:
         return total.real
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def build_expansion(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> MainTermExpansion:
     m = reduce_residue(m, M)
     terms = []
@@ -320,7 +343,7 @@ def residual_series(m: int, M: int, n_max: int, cfg: Config = DEFAULT_CONFIG) ->
     return ResidualSeries(m, M, vals)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def leading_coefficients(
     m: int, M: int, cfg: Config = DEFAULT_CONFIG
 ) -> tuple[tuple[DirichletCharacter, complex], ...]:

@@ -19,6 +19,10 @@ from .eisenstein import Config, DEFAULT_CONFIG, cusp_residual_0
 from .hurwitz import cusp_coefficient, hurwitz_H, moment_H
 
 _Q_CAP = 20_000
+# _prime_field_tally holds two p x p arrays of 8-byte entries at once (the
+# shifted index array and chi gathered through it), so prime fields whose
+# 16 p^2 bytes exceed this budget are refused: p <= 5792.
+_KERNEL_BYTES = 512 << 20
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,11 @@ def trace_mass_table(q: int) -> TraceMassTable:
     p, r = pairs[0]
     if p < 5:
         raise ValueError("characteristic must be at least 5")
+    if r == 1 and 16 * p * p > _KERNEL_BYTES:
+        raise ValueError(
+            f"prime field {p} needs {16 * p * p >> 20} MiB to enumerate, "
+            f"over the {_KERNEL_BYTES >> 20} MiB budget"
+        )
     tally = _prime_field_tally(p) if r == 1 else _quadratic_field_tally(p)
     masses = tuple(
         (t, Fraction(cnt, q - 1)) for t, cnt in sorted(tally.items())

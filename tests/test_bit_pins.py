@@ -1,12 +1,15 @@
 """Bit-exact pins of float outputs that otherwise are only compared as
 %.12g text or within a tolerance.
 
-Reordering the sum in `A2_closed` or regrouping the float products in
-`coeff_a` changes some of these hex strings, so such a change shows here.
+Reordering the sum in `A2_closed`, regrouping the float products in
+`coeff_a`, or changing how `gauss_sum` and `sigma_twisted` turn a character
+value into a complex number changes some of these hex strings, so such a
+change shows here.
 """
 
 from hurwitzbias.bias import A2_closed
-from hurwitzbias.eisenstein import build_expansion, main_term
+from hurwitzbias.characters import char_order, gauss_sum, primitive_chars
+from hurwitzbias.eisenstein import build_expansion, main_term, sigma_twisted
 
 A2_HEX = {
     (1, 3): "-0x1.0000000000000p-3",
@@ -67,6 +70,153 @@ EXPANSION_HEX = {
 }
 
 
+# Characters keyed by (modulus, exponent on the generator): the conductor-3
+# character, the five conductor-7 characters, and the first order-4 and the
+# first order-6 character mod 13 in primitive_chars order.
+GAUSS_HEX = {
+    (3, 1): ("0x1.8000000000000p-51", "0x1.bb67ae8584caap+0"),
+    (7, 1): ("-0x1.38564a35fc827p+1", "0x1.05ca585b5d489p+0"),
+    (7, 2): ("0x1.2f6b8a9e8f25cp+1", "-0x1.2cd3c414f80fep+0"),
+    (7, 3): ("0x1.8000000000000p-52", "0x1.52a7fa9d2f8eap+1"),
+    (7, 4): ("0x1.2f6b8a9e8f25fp+1", "0x1.2cd3c414f80f8p+0"),
+    (7, 5): ("0x1.38564a35fc827p+1", "0x1.05ca585b5d482p+0"),
+    (13, 3): ("-0x1.b9b544bf10b64p+1", "0x1.0b7a158d84864p+0"),
+    (13, 2): ("0x1.8cb01e1d7263ep+1", "0x1.d7b91adc25da8p+0"),
+}
+SIGMA_N = (1, 2, 3, 4, 6, 7, 12, 13, 18, 26, 30, 36, 60)
+# sigma_twisted(chi, n) for n in SIGMA_N, as (real hex, imag hex).
+SIGMA_HEX = {
+    (3, 1): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("-0x1.8000000000000p+1", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.c000000000000p+2", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.0000000000000p+3", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.c000000000000p+3", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.5000000000000p+5", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ],
+    (7, 1): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("-0x1.7fffffffffffdp+0", "0x1.4c8dc2e423980p+1"),
+        ("0x1.0000000000001p+1", "0x1.bb67ae8584caap+1"),
+        ("-0x1.c000000000007p+1", "-0x1.83fab8b4d4313p+2"),
+        ("-0x1.8000000000000p+3", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.c000000000003p+3", "-0x1.83fab8b4d4315p+4"),
+        ("-0x1.c000000000000p+3", "0x0.0p+0"),
+        ("-0x1.3800000000004p+4", "-0x1.0e332e595ceb6p+5"),
+        ("0x1.5000000000002p+4", "-0x1.22fc0a879f250p+5"),
+        ("-0x1.1fffffffffffep+5", "0x1.f2d4a45635640p+5"),
+        ("0x1.6c00000000000p+6", "0x0.0p+0"),
+        ("-0x1.5000000000006p+6", "-0x1.22fc0a879f24ep+7"),
+    ],
+    (7, 2): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("-0x1.8000000000006p+0", "-0x1.4c8dc2e42397ep+1"),
+        ("-0x1.ffffffffffffcp+0", "0x1.bb67ae8584cabp+1"),
+        ("-0x1.bfffffffffffcp+1", "0x1.83fab8b4d4316p+2"),
+        ("0x1.8000000000000p+3", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.c000000000007p+3", "-0x1.83fab8b4d4313p+4"),
+        ("0x1.c000000000000p+3", "0x0.0p+0"),
+        ("-0x1.37ffffffffffep+4", "0x1.0e332e595ceb8p+5"),
+        ("-0x1.5000000000005p+4", "-0x1.22fc0a879f24ep+5"),
+        ("-0x1.2000000000004p+5", "-0x1.f2d4a4563563dp+5"),
+        ("0x1.6c00000000000p+6", "0x0.0p+0"),
+        ("-0x1.4fffffffffffep+6", "0x1.22fc0a879f250p+7"),
+    ],
+    (7, 3): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.8000000000000p+1", "0x0.0p+0"),
+        ("-0x1.0000000000000p+2", "0x0.0p+0"),
+        ("0x1.c000000000000p+2", "0x0.0p+0"),
+        ("-0x1.8000000000000p+3", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.c000000000000p+4", "0x0.0p+0"),
+        ("-0x1.c000000000000p+3", "0x0.0p+0"),
+        ("0x1.3800000000000p+5", "0x0.0p+0"),
+        ("-0x1.5000000000000p+5", "0x0.0p+0"),
+        ("0x1.2000000000000p+6", "0x0.0p+0"),
+        ("0x1.6c00000000000p+6", "0x0.0p+0"),
+        ("0x1.5000000000000p+7", "0x0.0p+0"),
+    ],
+    (7, 4): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("-0x1.7fffffffffffdp+0", "0x1.4c8dc2e423980p+1"),
+        ("-0x1.0000000000004p+1", "-0x1.bb67ae8584ca8p+1"),
+        ("-0x1.c000000000007p+1", "-0x1.83fab8b4d4313p+2"),
+        ("0x1.8000000000000p+3", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.bfffffffffffcp+3", "0x1.83fab8b4d4316p+4"),
+        ("0x1.c000000000000p+3", "0x0.0p+0"),
+        ("-0x1.3800000000004p+4", "-0x1.0e332e595ceb6p+5"),
+        ("-0x1.4fffffffffffep+4", "0x1.22fc0a879f250p+5"),
+        ("-0x1.1fffffffffffep+5", "0x1.f2d4a45635640p+5"),
+        ("0x1.6c00000000000p+6", "0x0.0p+0"),
+        ("-0x1.5000000000006p+6", "-0x1.22fc0a879f24ep+7"),
+    ],
+    (7, 5): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("-0x1.8000000000006p+0", "-0x1.4c8dc2e42397ep+1"),
+        ("0x1.0000000000001p+1", "-0x1.bb67ae8584caap+1"),
+        ("-0x1.bfffffffffffcp+1", "0x1.83fab8b4d4316p+2"),
+        ("-0x1.8000000000000p+3", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x1.c000000000003p+3", "0x1.83fab8b4d4315p+4"),
+        ("-0x1.c000000000000p+3", "0x0.0p+0"),
+        ("-0x1.37ffffffffffep+4", "0x1.0e332e595ceb8p+5"),
+        ("0x1.5000000000002p+4", "0x1.22fc0a879f250p+5"),
+        ("-0x1.2000000000004p+5", "-0x1.f2d4a4563563dp+5"),
+        ("0x1.6c00000000000p+6", "0x0.0p+0"),
+        ("-0x1.4fffffffffffep+6", "0x1.22fc0a879f250p+7"),
+    ],
+    (13, 3): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.8000000000000p+1"),
+        ("0x1.0000000000000p+2", "0x0.0p+0"),
+        ("-0x1.c000000000000p+2", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.8000000000000p+3"),
+        ("0x0.0p+0", "-0x1.0000000000000p+3"),
+        ("-0x1.c000000000000p+4", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.3800000000000p+5"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.2000000000000p+6", "0x0.0p+0"),
+        ("-0x1.6c00000000000p+6", "0x0.0p+0"),
+        ("0x0.0p+0", "-0x1.5000000000000p+7"),
+    ],
+    (13, 2): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.8000000000002p+0", "0x1.4c8dc2e423980p+1"),
+        ("-0x1.0000000000004p+1", "-0x1.bb67ae8584ca8p+1"),
+        ("-0x1.bfffffffffffcp+1", "0x1.83fab8b4d4316p+2"),
+        ("0x1.8000000000002p+2", "-0x1.4c8dc2e423980p+3"),
+        ("0x1.0000000000001p+2", "-0x1.bb67ae8584caap+2"),
+        ("0x1.c000000000000p+4", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.3800000000000p+5", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.1fffffffffffep+5", "0x1.f2d4a45635640p+5"),
+        ("-0x1.6c00000000005p+5", "-0x1.3b3bb612ec67fp+6"),
+        ("-0x1.5000000000000p+7", "0x0.0p+0"),
+    ],
+}
+
+
+def _pinned_chars():
+    p13 = primitive_chars(13)
+    chars = list(primitive_chars(3)) + list(primitive_chars(7)) + [
+        next(chi for chi in p13 if char_order(chi) == k) for k in (4, 6)
+    ]
+    return {(chi.modulus, chi.locals[0][2][0]): chi for chi in chars}
+
+
 def test_A2_closed_bits():
     got = {key: A2_closed(*key).hex() for key in A2_HEX}
     assert got == A2_HEX
@@ -84,3 +234,20 @@ def test_expansion_coefficient_bits():
             for eta, d, c in build_expansion(m, M).terms
         ]
         assert got == expected, (m, M)
+
+
+def test_gauss_sum_bits():
+    got = {}
+    for key, chi in _pinned_chars().items():
+        g = gauss_sum(chi)
+        got[key] = (g.real.hex(), g.imag.hex())
+    assert got == GAUSS_HEX
+
+
+def test_sigma_twisted_bits():
+    for key, chi in _pinned_chars().items():
+        got = []
+        for n in SIGMA_N:
+            s = sigma_twisted(chi, n)
+            got.append((s.real.hex(), s.imag.hex()))
+        assert got == SIGMA_HEX[key], key

@@ -10,6 +10,7 @@ from hurwitzbias.arith import euler_phi, kronecker
 from hurwitzbias.characters import (
     RootOfUnity,
     char_eval,
+    char_table,
     char_order,
     char_product,
     conductor,
@@ -26,7 +27,9 @@ from hurwitzbias.characters import (
     primitive_chars,
     principal_character,
     quad_decomp,
+    local_unit_group,
     real_primitive_chars,
+    root_values,
     star_char,
 )
 
@@ -55,6 +58,49 @@ def test_root_of_unity_exact_values():
     assert abs(r.value - cmath.exp(2j * cmath.pi / 3)) < 1e-15
     assert (r * r * r).is_one
     assert abs(r.conj().value - r.value.conjugate()) < 1e-15
+
+
+def digitwise_expo(chi, x):
+    """The exponent of chi(x) in [0, 1), as the sum of a * d / o over the
+    discrete-log digits d of x; None off the units."""
+    if math.gcd(x, chi.modulus) != 1:
+        return None
+    expo = Fraction(0)
+    for p, e, exps in chi.locals:
+        group = local_unit_group(p, e)
+        digits = group.dlog[x % p**e]
+        for a, d, o in zip(exps, digits, group.orders):
+            if a * d:
+                expo += Fraction(a * d, o)
+    return expo % 1
+
+
+def test_char_eval_matches_digitwise_sum():
+    for m in range(1, 151):
+        for chi in enumerate_chars(m):
+            for x in range(-1, m + 1):
+                value = char_eval(chi, x)
+                got = None if value.zero else value.expo
+                assert got == digitwise_expo(chi, x % m), (chi, x)
+
+
+def test_char_table_shape():
+    chi = enumerate_chars(15)[5]
+    L, e = char_table(chi)
+    assert L == 4  # lcm of the generator orders 2 and 4
+    assert len(e) == 15
+    assert [x for x in range(15) if e[x] < 0] == [0, 3, 5, 6, 9, 10, 12]
+    assert e[2] == 3  # chi(2) = chi_3(2) * chi_5(2) = (-1) * i = e(3/4)
+    assert char_table(principal_character(1)) == (1, (0,))
+
+
+def test_root_values_bits():
+    for L in range(1, 241):
+        roots = root_values(L)
+        assert len(roots) == L
+        for k, z in enumerate(roots):
+            w = RootOfUnity.from_expo(Fraction(k, L)).value
+            assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex()), (k, L)
 
 
 def test_character_counts():
@@ -164,6 +210,10 @@ def test_quad_decomp_examples():
     (leg5,) = [c for c in primitive_chars(5) if char_order(c) == 2]
     hat, tilde = quad_decomp(leg5)
     assert hat == leg5 and tilde.modulus == 1
+    # The split is cached per character; a non-primitive one raises every time.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            quad_decomp(principal_character(15))
 
 
 def test_star_char():

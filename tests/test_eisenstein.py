@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzbias.arith import divisors, euler_phi, factorize
+from hurwitzbias.arith import divisors, euler_phi, factorize, ord_p
 from hurwitzbias.characters import (
     char_order,
     chi8,
@@ -74,6 +74,44 @@ def test_psi_examples():
     # by the exact vanishing of cusp residuals on every class with M <= 5.
     assert psi(2, 2, 2, 4) == Fraction(-3, 2)
     assert psi(3, 3, 3, 9) == Fraction(-4, 3)
+
+
+def psi_termwise(d, m, p, M):
+    """psi with every branch written as the sum of its terms."""
+    d_p, m_p, M_p = (p ** ord_p(x, p) for x in (d, m, M))
+    m_p2 = m_p * m_p
+    if d_p == m_p2:
+        out = Fraction(1)
+        if 1 < d_p < M_p * M_p:
+            out += Fraction(1, p * p)
+        if m_p < M_p:
+            out -= Fraction(1, p * p - p)
+        return out
+    if d_p == p * m_p2:
+        return -1 + Fraction(p * p + 1, p * p - p)
+    if d_p == p * p * m_p2:
+        return 1 - Fraction(p * p, p * p - p)
+    if d_p < m_p2:
+        if math.isqrt(d_p) ** 2 == d_p:
+            return 1 + (Fraction(1, p * p) if 1 < d_p < M_p * M_p else 0)
+        return -1 - Fraction(1, p)
+    return None
+
+
+def test_psi_matches_termwise_form():
+    seen = 0
+    for M in range(2, 41):
+        for m in range(1, M + 1):
+            for d in divisors(4 * M * M):
+                for p, _ in factorize(M):
+                    want = psi_termwise(d, m, p, M)
+                    if want is None:
+                        with pytest.raises(ValueError):
+                            psi(d, m, p, M)
+                    else:
+                        assert psi(d, m, p, M) == want, (d, m, p, M)
+                        seen += 1
+    assert seen > 10_000
 
 
 def test_in_S_examples():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitzbias import frobenius
 from hurwitzbias.frobenius import (
     ExpansionTerms,
     S_direct,
@@ -167,3 +168,21 @@ def test_argument_validation():
         S_via_moments(0, 1, 3, 4, 1)
     with pytest.raises(ValueError):
         S_direct(0, 1, 0, 5)
+
+
+def test_prime_field_memory_budget(monkeypatch):
+    # The prime-field kernel needs 16 p^2 bytes; past the 512 MiB budget
+    # (p > 5792) the table is refused before the kernel runs.
+    def kernel(p):
+        raise RuntimeError(f"kernel reached for p = {p}")
+
+    monkeypatch.setattr(frobenius, "_prime_field_tally", kernel)
+    for p in (5801, 19997):
+        with pytest.raises(ValueError, match="MiB budget"):
+            trace_mass_table(p)
+        with pytest.raises(ValueError, match="MiB budget"):
+            S_direct(0, 1, 3, p)
+    with pytest.raises(RuntimeError, match="p = 5791"):
+        trace_mass_table(5791)
+    # The moment route never enumerates curves, so it still answers.
+    assert S_via_moments(0, 1, 3, 19997, 1) == Fraction(9999, 2)
