@@ -1,12 +1,12 @@
 """Number-theory kernel: factorization, Kronecker symbols, small multiplicative helpers.
 
-Everything in this module is exact integer / rational arithmetic; no floats.
+Everything in this module is exact integer / rational arithmetic; no floats
+and no complex numbers (roots of unity live in characters.RootOfUnity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -154,33 +154,6 @@ def squarefree_part(n: int) -> int:
         if e % 2:
             out *= p
     return out
-
-
-@dataclass(frozen=True)
-class FourthRoot:
-    """A fourth root of unity i**exponent with exact arithmetic."""
-
-    exponent: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % 4)
-
-    @property
-    def value(self) -> complex:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[self.exponent]
-
-    def __mul__(self, other: "FourthRoot") -> "FourthRoot":
-        return FourthRoot(self.exponent + other.exponent)
-
-    def __pow__(self, k: int) -> "FourthRoot":
-        return FourthRoot(self.exponent * k)
-
-
-def eps(d: int) -> FourthRoot:
-    """eps_d = 1 for d = 1 mod 4 and i for d = 3 mod 4; rejects even d."""
-    if d % 2 == 0:
-        raise ValueError("eps is defined for odd d only")
-    return FourthRoot(0 if d % 4 == 1 else 1)
 
 
 def catalan_ext(k: int) -> int:

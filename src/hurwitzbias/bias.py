@@ -18,14 +18,13 @@ from .characters import char_table, real_primitive_chars, root_values
 from .eisenstein import (
     Config,
     DEFAULT_CONFIG,
+    IM_TOL,
     coeff_a,
     in_S,
     leading_coefficients,
     prefactor,
 )
 from .hurwitz import moment_H
-
-_IM_TOL = 1e-9
 
 
 def delta_star(x: int, m: int, M: int) -> int:
@@ -55,7 +54,7 @@ def leading_sum(
         L, e = char_table(eta)
         k = e[x % eta.modulus]
         total += coeff * (root_values(L)[k] if k >= 0 else 0j) ** power
-    if abs(total.imag) >= _IM_TOL:
+    if abs(total.imag) >= IM_TOL:
         raise ArithmeticError(f"residue average strayed off the real axis: {total!r}")
     return total.real
 
@@ -140,7 +139,7 @@ def A2_closed(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
     for eta in real_primitive_chars(M):
         if in_S(eta, m, M, 1):
             total += coeff_a(eta, 1, m, M, cfg)
-    if abs(total.imag) >= _IM_TOL:
+    if abs(total.imag) >= IM_TOL:
         raise ArithmeticError(f"real-character block came out complex: {total!r}")
     first = euler_phi(M) * float(prefactor(M)) * total.real
     return (first + float(epsilon_mM(m, M))) / (2 * euler_phi(M))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .arith import divisors, eps, factorize, inverse_mod, kronecker, ord_p
+from .arith import divisors, factorize, inverse_mod, kronecker, ord_p
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,8 +78,17 @@ class RootOfUnity:
         return RootOfUnity(False, -self.expo)
 
 
-# Shared value for char_eval's non-unit case (the class is frozen).
+# Shared values (the class is frozen): char_eval's non-unit case, and eps's
+# two results, which gauss_quad_closed asks for on every call.
 _ZERO = RootOfUnity.zero_value()
+_EPS = (RootOfUnity.one(), RootOfUnity.from_expo(Fraction(1, 4)))
+
+
+def eps(d: int) -> RootOfUnity:
+    """eps_d = 1 for d = 1 mod 4 and i for d = 3 mod 4; rejects even d."""
+    if d % 2 == 0:
+        raise ValueError("eps is defined for odd d only")
+    return _EPS[d % 4 // 2]
 
 
 @lru_cache(maxsize=1 << 10)
@@ -331,14 +340,6 @@ def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     return from_values(n, lambda x: char_eval(chi, _coprime_lift(x, n, chi.modulus)))
 
 
-def induce_to(chi: DirichletCharacter, modulus: int) -> DirichletCharacter:
-    """The character mod `modulus` induced by chi (conductor must divide it)."""
-    prim = induce_primitive(chi)
-    if modulus % prim.modulus:
-        raise ValueError("conductor does not divide the target modulus")
-    return from_values(modulus, lambda x: char_eval(prim, x))
-
-
 def char_product(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product, as a character mod lcm of the two moduli."""
     m = math.lcm(a.modulus, b.modulus)
@@ -385,10 +386,17 @@ def quad_decomp(eta: DirichletCharacter) -> tuple[DirichletCharacter, DirichletC
 
 @lru_cache(maxsize=1 << 12)
 def star_char(eta: DirichletCharacter) -> DirichletCharacter:
-    """Primitive character inducing (non-quadratic part) * kronecker(x, its conductor)."""
+    """The non-quadratic part times kronecker(x, its conductor), a primitive
+    character of that same conductor.
+
+    No induction is needed. At an odd p the non-quadratic part has local
+    order o > 2; multiplying by the quadratic character changes o by at most
+    a factor 2, so o stays above 1 with the same p-part, which fixes the
+    local conductor. At 2 the non-quadratic part has 2-part at least 16,
+    and there chi8 keeps its order.
+    """
     _, tilde = quad_decomp(eta)
-    kc = kronecker_character(tilde.modulus)
-    return induce_primitive(char_product(tilde, kc))
+    return char_product(tilde, kronecker_character(tilde.modulus))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -436,7 +444,12 @@ def gauss_quad_closed(a: int, b: int, c: int) -> complex:
     if c % 2 == 1:
         k = inverse_mod(4 * a, c)
         phase = Fraction(-k * b * b, c)
-        return _phase_value(phase) * eps(c).value * kronecker(a, c) * math.sqrt(c)
+        return (
+            RootOfUnity.from_expo(phase).value
+            * eps(c).value
+            * kronecker(a, c)
+            * math.sqrt(c)
+        )
     if c % 4 == 2:
         if b % 2 == 0:
             return 0j
@@ -444,7 +457,7 @@ def gauss_quad_closed(a: int, b: int, c: int) -> complex:
         k = inverse_mod(8 * a, c0)
         phase = Fraction(-k * b * b, c0)
         return (
-            _phase_value(phase)
+            RootOfUnity.from_expo(phase).value
             * eps(c0).value
             * kronecker(2 * a, c0)
             * math.sqrt(2 * c)
@@ -454,17 +467,10 @@ def gauss_quad_closed(a: int, b: int, c: int) -> complex:
     k = inverse_mod(a, c)
     phase = Fraction(-k * b * b, 4 * c)
     return (
-        _phase_value(phase)
+        RootOfUnity.from_expo(phase).value
         * (eps(a) ** 3).value
         * kronecker(c, a)
         * (1 + 1j)
         * math.sqrt(c)
     )
 
-
-def _phase_value(expo: Fraction) -> complex:
-    return RootOfUnity.from_expo(expo).value
-
-
-def chi8() -> DirichletCharacter:
-    return kronecker_character(8)

@@ -47,7 +47,7 @@ def _emit_value(args, value, **inputs) -> None:
 
 
 def _config_from_args(args) -> Config:
-    return Config(eta0_reading=args.eta0_reading, phi_reading=args.phi_reading)
+    return Config(eta0_reading=args.eta0_reading)
 
 
 def _add_format_flag(parser) -> None:
@@ -59,8 +59,9 @@ def _add_reading_flags(parser) -> None:
                         choices=("eta", "eta_hat", "eta_tilde"),
                         default=DEFAULT_CONFIG.eta0_reading)
     parser.add_argument("--phi-reading", dest="phi_reading",
-                        choices=("eta_tilde", "eta_star"),
-                        default=DEFAULT_CONFIG.phi_reading)
+                        choices=("eta_tilde", "eta_star"), default="eta_tilde",
+                        help="whose conductor feeds the Euler phi factor; "
+                             "both readings give the same conductor")
 
 
 def _cmd_hurwitz(args) -> int:
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version",
         version=(f"hurwitzbias {__version__} "
                  f"(eta0 reading: {DEFAULT_CONFIG.eta0_reading}, "
-                 f"phi conductor reading: {DEFAULT_CONFIG.phi_reading})"))
+                 "phi conductor reading: eta_tilde)"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hurwitz", help="single class number H(D)")

@@ -3,9 +3,9 @@ expansion, and extraction of the cusp component as a residual.
 
 The expansion runs over primitive characters with conductor dividing the
 progression modulus and over an admissibility set of auxiliary divisors;
-each term carries an explicitly computable complex coefficient. Two
-coefficient readings are kept behind a Config switch; the verification
-suites run under the defaults.
+each term carries an explicitly computable complex coefficient. Config
+selects the reading of the one ambiguous eps factor; the verification
+suites run under the default.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from .arith import (
     divisors,
-    eps,
     euler_phi,
     factorize,
     is_square,
@@ -29,6 +28,7 @@ from .characters import (
     DirichletCharacter,
     char_eval,
     char_table,
+    eps,
     gauss_sum,
     kronecker_character,
     primitive_chars,
@@ -43,22 +43,19 @@ IM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Config:
-    """Readings for the two notational ambiguities in the coefficient formula.
+    """Reading of the one notational ambiguity in the coefficient formula.
 
     eta0_reading: whose conductor's odd part feeds the eps factors
-    ("eta", "eta_hat" or "eta_tilde").
-    phi_reading: whose conductor feeds the Euler phi in the denominator
-    ("eta_tilde" or "eta_star"); the two coincide on every reachable input.
+    ("eta", "eta_hat" or "eta_tilde"). The Euler phi in the denominator
+    needs no reading: the non-quadratic part and the star character have
+    the same conductor (see characters.star_char).
     """
 
     eta0_reading: str = "eta"
-    phi_reading: str = "eta_tilde"
 
     def __post_init__(self):
         if self.eta0_reading not in ("eta", "eta_hat", "eta_tilde"):
             raise ValueError("unknown eta0_reading")
-        if self.phi_reading not in ("eta_tilde", "eta_star"):
-            raise ValueError("unknown phi_reading")
 
 
 DEFAULT_CONFIG = Config()
@@ -146,16 +143,6 @@ def psi(d: int, m: int, p: int, M: int) -> Fraction:
     raise ValueError("local divisor outside the admissible range")
 
 
-@lru_cache(maxsize=1 << 16)
-def _psi_product(d: int, m: int, M: int, n_eta: int) -> Fraction:
-    """Product of psi(d, m, p, M) over the primes p | M that do not divide n_eta."""
-    out = Fraction(1)
-    for p, _ in factorize(M):
-        if n_eta % p:
-            out *= psi(d, m, p, M)
-    return out
-
-
 def _local_component(eta: DirichletCharacter, p: int) -> DirichletCharacter:
     for q, e, exps in eta.locals:
         if q == p:
@@ -195,7 +182,7 @@ def _char_factors(eta: DirichletCharacter, cfg: Config) -> tuple:
     """
     hat, tilde = quad_decomp(eta)
     star = star_char(eta)
-    phi_n = euler_phi(tilde.modulus if cfg.phi_reading == "eta_tilde" else star.modulus)
+    phi_n = euler_phi(tilde.modulus)
     tables = []
     for chi in (eta, tilde, hat):
         L, e = char_table(chi)
@@ -242,7 +229,10 @@ def coeff_a(
     sq = squarefree_part(d)
     scale = math.isqrt(d // sq) / sqrt_n
 
-    local = _psi_product(d, m, M, n_eta)
+    local = Fraction(1)
+    for p, _ in factorize(M):
+        if n_eta % p:
+            local *= psi(d, m, p, M)
     for p, _ in factorize(n_hat):
         n_p = p_part(n_eta, p)
         if p_part(d, p) * n_p * n_p == p * p * p_part(m, p) ** 2:

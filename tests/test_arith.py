@@ -5,10 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hurwitzbias.arith import (
-    FourthRoot,
     catalan_ext,
     divisors,
-    eps,
     euler_phi,
     factorize,
     inverse_mod,
@@ -112,24 +110,6 @@ def test_squarefree_part_property(n):
     assert n % d == 0
     assert is_square(n // d)
     assert all(e == 1 for _, e in factorize(d))
-
-
-def test_fourth_root_arith():
-    i = FourthRoot(1)
-    assert (i * i).value == -1
-    assert (i**3).value == -1j
-    assert (i**4).value == 1
-    assert eps(1).value == 1
-    assert eps(3).value == 1j
-    assert eps(7).value == 1j
-    assert eps(13).value == 1
-    with pytest.raises(ValueError):
-        eps(4)
-
-
-def test_eps_squared_is_sign():
-    for d in range(1, 50, 2):
-        assert (eps(d) ** 2).value == kronecker(-1, d)
 
 
 def test_catalan_ext():

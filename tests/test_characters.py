@@ -15,12 +15,12 @@ from hurwitzbias.characters import (
     char_product,
     conductor,
     enumerate_chars,
+    eps,
     from_values,
     gauss_quad_closed,
     gauss_quad_direct,
     gauss_sum,
     induce_primitive,
-    induce_to,
     is_primitive,
     is_real,
     kronecker_character,
@@ -58,6 +58,27 @@ def test_root_of_unity_exact_values():
     assert abs(r.value - cmath.exp(2j * cmath.pi / 3)) < 1e-15
     assert (r * r * r).is_one
     assert abs(r.conj().value - r.value.conjugate()) < 1e-15
+
+
+def test_eps_values():
+    i = eps(3)
+    assert (i * i).value == -1
+    assert (i**3).value == -1j
+    assert (i**4).value == 1
+    assert eps(1).value == 1
+    assert eps(3).value == 1j
+    assert eps(7).value == 1j
+    assert eps(13).value == 1
+    assert eps(-1).value == 1j
+    # two shared values, not one object per call
+    assert eps(7) is eps(3) and eps(13) is eps(1)
+    with pytest.raises(ValueError):
+        eps(4)
+
+
+def test_eps_squared_is_sign():
+    for d in range(1, 50, 2):
+        assert (eps(d) ** 2).value == kronecker(-1, d)
 
 
 def digitwise_expo(chi, x):
@@ -158,7 +179,8 @@ def test_induction_roundtrip():
             prim = induce_primitive(chi)
             assert is_primitive(prim)
             assert prim.modulus == conductor(chi)
-            assert induce_to(prim, m) == chi
+            # inducing prim back up to m recovers chi
+            assert from_values(m, lambda x, p=prim: char_eval(p, x)) == chi
             for x in range(m):
                 if math.gcd(x, m) == 1:
                     assert char_eval(prim, x) == char_eval(chi, x)
@@ -228,11 +250,15 @@ def test_star_char():
         if char_order(eta) == 3:
             assert char_order(star_char(eta)) == 6
             assert star_char(eta).modulus == 7
-    # conductor is preserved in all small cases
-    for n in range(1, 73):
+
+
+def test_star_char_keeps_the_non_quadratic_conductor():
+    # Why Config needs no phi reading: eta_star and eta_tilde share a conductor.
+    for n in range(1, 121):
         for eta in primitive_chars(n):
-            _, tilde = quad_decomp(eta)
-            assert star_char(eta).modulus == tilde.modulus
+            star = star_char(eta)
+            assert is_primitive(star), eta
+            assert star.modulus == quad_decomp(eta)[1].modulus, eta
 
 
 def test_gauss_sum_classics():

@@ -1,5 +1,6 @@
 """Tests for the command line frontend: formats, schemas, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -162,3 +163,63 @@ def test_version_banner_records_readings(capsys):
     out = capsys.readouterr().out
     assert "eta0 reading: eta" in out
     assert "phi conductor reading: eta_tilde" in out
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 of stdout. The CLI contract keeps these bytes, so a change to any
+# of them is a contract change, not a refactor.
+GOLDEN_STDOUT = {
+    ("residual", "--m", "1", "--M", "7", "--max-n", "200"):
+        "43a39d726dbe8a13ca5073110567d97915e61824659afb2f31691bf2eec4d546",
+    ("residual", "--m", "5", "--M", "12", "--max-n", "200"):
+        "933a080d93d188c95fd984f3212a51ceeb65d67a3f485ba293a6236ba1c6e5eb",
+    ("residual", "--m", "1", "--M", "7", "--max-n", "50", "--format", "json"):
+        "ee007646dd3d7ba57afb621b2051e9b1b262329f3328b9e2f6217aea36aa1c1c",
+    ("bias", "a2", "--m", "7", "--M", "30"):
+        "37e8a462ecc04c2378a8dedc6f45539f8a5d2d30249a1aba88a747e6355df16b",
+    ("bias", "a2", "--m", "2", "--M", "5", "--route", "chars"):
+        "35cb5ac9761afabe150f412c57b2a95b5c1f3de9edbece12f5b5608fb49b94a0",
+    ("main-term", "--m", "3", "--M", "13", "--n", "97"):
+        "9a92adbc0cee38ef658c71ce1b1bf8c65668f166bfb213644c895ccb1ad07a25",
+}
+SCAN_300_CSV = "78ea7b920d9df00ad0df2791753a3ad16fc9d99b38d01d833431a1266c630dcb"
+SCAN_300_SUMMARY = "pairs 45150 positive 0.4321 negative 0.5678 zero 0.0000\n"
+VERSION_BANNER = \
+    "hurwitzbias 0.1.0 (eta0 reading: eta, phi conductor reading: eta_tilde)\n"
+
+
+def test_golden_outputs(capsys):
+    for argv, digest in GOLDEN_STDOUT.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert _sha256(out) == digest, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == VERSION_BANNER
+
+
+def test_golden_scan(tmp_path, capsys):
+    code, out, err = run(capsys, "scan", "--X", "300")
+    assert code == 0
+    assert _sha256(out) == SCAN_300_CSV
+    assert err == SCAN_300_SUMMARY
+    target = tmp_path / "scan.csv"
+    code, out, err = run(capsys, "scan", "--X", "300", "--out", str(target))
+    assert (code, err) == (0, "")
+    assert out == f"wrote 45150 rows to {target}\n" + SCAN_300_SUMMARY
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_300_CSV
+
+
+def test_phi_reading_flag_is_accepted_and_immaterial(capsys):
+    argv = ("main-term", "--m", "3", "--M", "13", "--n", "97")
+    default = run(capsys, *argv)
+    assert default == (0, "14\n", "")
+    for reading in ("eta_tilde", "eta_star"):
+        assert run(capsys, *argv, "--phi-reading", reading) == default
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--phi-reading", "bogus"])
+    assert exc.value.code == 2

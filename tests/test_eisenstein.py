@@ -8,7 +8,6 @@ import pytest
 from hurwitzbias.arith import divisors, euler_phi, factorize, ord_p
 from hurwitzbias.characters import (
     char_order,
-    chi8,
     is_real,
     kronecker_character,
     primitive_chars,
@@ -135,7 +134,7 @@ def test_in_S_rejects_bad_input():
 
 def test_phi2_values():
     assert phi2(TRIV) == 1
-    assert phi2(chi8()) == 1
+    assert phi2(kronecker_character(8)) == 1
     assert abs(phi2(CHI_M4) - (-1j)) < 1e-15
 
 
@@ -320,19 +319,8 @@ def test_expansion_structure():
 def test_config_validation():
     with pytest.raises(ValueError):
         Config(eta0_reading="bogus")
-    with pytest.raises(ValueError):
-        Config(phi_reading="bogus")
-
-
-def test_phi_reading_is_immaterial():
-    # The star character keeps the conductor of the non-quadratic part, so
-    # both normalizations produce the same expansion.
-    alt = Config(phi_reading="eta_star")
-    for m, M in [(1, 3), (2, 4), (1, 5), (3, 8), (1, 12)]:
-        for n in (1, 7, 30):
-            assert main_term(m, M, n, alt) == pytest.approx(
-                main_term(m, M, n), abs=1e-12
-            )
+    with pytest.raises(TypeError):
+        Config(phi_reading="eta_star")  # both phi readings name one conductor
 
 
 def test_residual_is_exactly_moment_plus_lambda_minus_main():
