@@ -62,7 +62,7 @@ def _pollard_rho(n: int) -> int:
         c += 1  # cycle collapsed onto itself, retry with a different polynomial
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Ascending (prime, exponent) pairs of n >= 1 (trial division, then Pollard rho)."""
     if n < 1:

@@ -322,24 +322,6 @@ def from_values(modulus: int, value_at) -> DirichletCharacter:
     return _mk_char(parts)
 
 
-def _coprime_lift(x: int, n: int, modulus: int) -> int:
-    """Some y = x (mod n) with gcd(y, modulus) = 1."""
-    y = x % n
-    if y == 0 and n == 1:
-        y = 1
-    while math.gcd(y, modulus) != 1:
-        y += n
-    return y
-
-
-def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character inducing chi."""
-    n = conductor(chi)
-    if n == chi.modulus:
-        return chi
-    return from_values(n, lambda x: char_eval(chi, _coprime_lift(x, n, chi.modulus)))
-
-
 def char_product(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product, as a character mod lcm of the two moduli."""
     m = math.lcm(a.modulus, b.modulus)

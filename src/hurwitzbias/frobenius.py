@@ -4,6 +4,10 @@ Curves are enumerated in short Weierstrass form y^2 = x^3 + ax + b with
 4a^3 + 27b^2 != 0, which for characteristic >= 5 hits every isomorphism
 class exactly (q - 1)/|Aut| times.  Automorphism-weighted trace counts
 therefore come out of plain pair counting, exactly, with denominator q - 1.
+The traces for a given a over all b depend only on the class of a in
+F_q^*/(F_q^*)^4, so the kernels count points for a = 0 and one a per class
+(at most five rows) and weight each class row by its size; every b is still
+counted point by point, without class numbers.
 """
 
 import math
@@ -62,6 +66,29 @@ def _smallest_nonresidue(p: int) -> int:
     raise ValueError(f"no quadratic non-residue mod {p}")
 
 
+def _twist_classes(q: int, power) -> list[tuple[int, int]]:
+    """Rows (a, weight) that stand for every a in F_q: a = 0 with weight 1,
+    then one representative per class of F_q^*/(F_q^*)^4, weighted by the
+    class size (q - 1)/g with g = gcd(4, q - 1).
+
+    (x, y) -> (u^2 x, u^3 y) takes y^2 = x^3 + ax + b to
+    y^2 = x^3 + u^4 a x + u^6 b with the same trace and the discriminant
+    scaled by u^12, and b -> u^6 b permutes F_q; so the traces over all b
+    are the same multiset for every a in one class.  power(a, e) is a^e in
+    F_q, and a^((q - 1)/g) names the class of a.
+    """
+    g = math.gcd(4, q - 1)
+    rows, seen = [(0, 1)], set()
+    for a in range(1, q):
+        key = power(a, (q - 1) // g)
+        if key not in seen:
+            seen.add(key)
+            rows.append((a, (q - 1) // g))
+            if len(seen) == g:
+                break
+    return rows
+
+
 def _prime_field_tally(p: int) -> dict[int, int]:
     chi = np.zeros(p, dtype=np.float64)
     for x in range(1, p):
@@ -75,11 +102,11 @@ def _prime_field_tally(p: int) -> dict[int, int]:
     disc_b = 27 * (xs * xs % p) % p
     bound = math.isqrt(4 * p)
     tally = np.zeros(2 * bound + 1, dtype=np.int64)
-    for a in range(p):
+    for a, weight in _twist_classes(p, lambda x, e: pow(x, e, p)):
         counts = np.bincount((cubes + a * xs) % p, minlength=p).astype(np.float64)
         traces = -np.rint(counts @ shifted).astype(np.int64)
         good = (4 * pow(a, 3, p) + disc_b) % p != 0
-        np.add.at(tally, traces[good] + bound, 1)
+        np.add.at(tally, traces[good] + bound, weight)
     return {t - bound: int(c) for t, c in enumerate(tally) if c}
 
 
@@ -94,6 +121,15 @@ def _quadratic_field_tally(p: int) -> dict[int, int]:
     def mul(u1, v1, u2, v2):
         return (u1 * u2 + c * v1 * v2) % p, (u1 * v2 + v1 * u2) % p
 
+    def power(a, e):
+        ru, rv, bu, bv = 1, 0, a % p, a // p
+        while e:
+            if e & 1:
+                ru, rv = mul(ru, rv, bu, bv)
+            bu, bv = mul(bu, bv, bu, bv)
+            e >>= 1
+        return ru + p * rv
+
     su, sv = mul(u, v, u, v)
     cu, cv = mul(su, sv, u, v)
     cube = cu + p * cv
@@ -107,7 +143,7 @@ def _quadratic_field_tally(p: int) -> dict[int, int]:
 
     bound = math.isqrt(4 * q)
     tally = np.zeros(2 * bound + 1, dtype=np.int64)
-    for a in range(q):
+    for a, weight in _twist_classes(q, power):
         au, av = a % p, a // p
         axu, axv = mul(au, av, u, v)
         vals = (cu + axu) % p + p * ((cv + axv) % p)
@@ -118,11 +154,11 @@ def _quadratic_field_tally(p: int) -> dict[int, int]:
         traces = -np.rint(corr).astype(np.int64).reshape(-1)
         dau, dav = mul(4 % p, 0, cu[a : a + 1], cv[a : a + 1])
         good = ((dau[0] + disc_u) % p + p * ((dav[0] + disc_v) % p)) != 0
-        np.add.at(tally, traces[good] + bound, 1)
+        np.add.at(tally, traces[good] + bound, weight)
     return {t - bound: int(cnt) for t, cnt in enumerate(tally) if cnt}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 6)
 def trace_mass_table(q: int) -> TraceMassTable:
     """Enumerate all curves over F_q (q = p or p^2, p >= 5) grouped by trace."""
     if q > _Q_CAP:
@@ -179,9 +215,10 @@ def tilde_moment(k: int, m: int, M: int, p: int, r: int) -> Fraction:
     """Class-number moment with the traces divisible by p left out."""
     _check_bridge_args(p, M, r)
     n = p**r
+    tmax = math.isqrt(4 * n)
     total = Fraction(0)
-    for t in range(-math.isqrt(4 * n), math.isqrt(4 * n) + 1):
-        if (t - m) % M == 0 and t % p != 0:
+    for t in range(-tmax + (m + tmax) % M, tmax + 1, M):
+        if t % p != 0:
             total += t**k * hurwitz_H(4 * n - t * t)
     return total
 

@@ -3,7 +3,10 @@ reduction of higher moments to the zeroth one.
 
 Two independent routes to the class numbers: hurwitz_direct enumerates
 reduced quadratic forms one discriminant at a time (slow, serves as oracle),
-while the sieve table enumerates (a, b, c) triples once for a whole range.
+while the sieve table counts (a, b, c) triples once for a whole range, as
+one scatter and one pattern of period 4a per a.  The shared table grows by
+sieving only the discriminants it lacks, and moment_H steps through the
+traces of its class by M.
 """
 
 from __future__ import annotations
@@ -48,26 +51,66 @@ def hurwitz_direct(d: int) -> Fraction:
     return total
 
 
-class HurwitzTable:
-    """Dense table of 12*H(d) for 0 <= d <= limit, built by a triple sieve."""
+def _sieve_range(h: np.ndarray, lo: int, hi: int) -> None:
+    """Add every weighted reduced form (a, b, c) with lo <= 4ac - b^2 <= hi
+    into h, which is indexed by discriminant.
 
-    def __init__(self, limit: int):
+    For each a and 0 <= b <= a, c = a is the head term at d = 4a^2 - b^2
+    (weight 6, 4 or 12 in units of 1/12), and c > a is a tail with weight 12
+    or 24 at every d = 4a^2 - b^2 + 4aj, j >= 1.  From d = 4a^2 + 4a on every
+    tail is running, so they add one pattern of period 4a, carrying tail(b) at
+    residue -b^2 (mod 4a).  The heads and the tail terms below 4a^2 + 4a go in
+    by one scatter, through np.add.at because two of them land on the same d
+    whenever b1^2 = b2^2 (mod 4a), e.g. a head and a first tail when
+    b1^2 - b2^2 = 4a.
+    """
+    for a in range(1, math.isqrt(hi // 3) + 1):
+        step = 4 * a
+        periodic = 4 * a * a + step
+        b = np.arange(a + 1)
+        sq = b * b
+        tail = np.full(a + 1, 24)
+        tail[0] = tail[a] = 12
+        if lo < periodic:
+            head = np.full(a + 1, 12)
+            head[0], head[a] = 6, 4
+            # tail terms below the periodic start: j = 1 .. ceil(b^2 / 4a)
+            runs = (sq + step - 1) // step
+            bj = np.repeat(b, runs)
+            j = np.arange(bj.size) - np.repeat(np.cumsum(runs) - runs, runs) + 1
+            pos = np.concatenate((4 * a * a - sq, 4 * a * a - bj * bj + step * j))
+            weight = np.concatenate((head, tail[bj]))
+            keep = (pos >= lo) & (pos <= hi)
+            np.add.at(h, pos[keep], weight[keep])
+        start = max(lo, periodic)
+        if start > hi:
+            continue
+        pattern = np.bincount(-sq % step, weights=tail, minlength=step).astype(np.int64)
+        pattern = np.roll(pattern, -(start % step))
+        stop = hi + 1 - (hi + 1 - start) % step
+        h[start:stop].reshape(-1, step)[...] += pattern
+        h[stop : hi + 1] += pattern[: hi + 1 - stop]
+
+
+class HurwitzTable:
+    """Dense table of 12*H(d) for 0 <= d <= limit, built by a periodic sieve.
+
+    Given a smaller table as base, its entries are copied and only the
+    discriminants in (base.limit, limit] are sieved.
+    """
+
+    def __init__(self, limit: int, base: HurwitzTable | None = None):
         if limit > _TABLE_HARD_LIMIT:
             raise ValueError("table limit is guarded to 5e7")
         self.limit = limit
         h = np.zeros(limit + 1, dtype=np.int64)
-        for a in range(1, math.isqrt(limit // 3) + 1 if limit >= 3 else 0):
-            step = 4 * a
-            for b in range(a + 1):
-                d0 = 4 * a * a - b * b
-                head = 6 if b == 0 else (4 if b == a else 12)
-                tail = 12 if (b == 0 or b == a) else 24
-                if d0 <= limit:
-                    h[d0] += head
-                start = d0 + step
-                if start <= limit:
-                    h[start::step] += tail
-        h[0] = -1
+        if base is None:
+            h[0] = -1
+            lo = 1
+        else:
+            lo = min(base.limit, limit) + 1
+            h[:lo] = base.h12[:lo]
+        _sieve_range(h, lo, limit)
         self.h12 = h
 
     def value(self, d: int) -> Fraction:
@@ -80,10 +123,11 @@ _table = HurwitzTable(0)
 
 
 def ensure_table(limit: int) -> HurwitzTable:
-    """Grow the shared class-number table to cover discriminants up to limit."""
+    """Grow the shared class-number table to cover discriminants up to limit,
+    sieving only the discriminants the current table lacks."""
     global _table
     if _table.limit < limit:
-        _table = HurwitzTable(max(limit, min(2 * _table.limit, _TABLE_HARD_LIMIT)))
+        _table = HurwitzTable(max(limit, min(2 * _table.limit, _TABLE_HARD_LIMIT)), _table)
     return _table
 
 
@@ -98,23 +142,20 @@ def hurwitz_H(d: int) -> Fraction:
     return hurwitz_direct(d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
     """k-th moment of H(4n - t^2) over t = m (mod M), including t = 0 and
     the boundary terms t^2 = 4n (where H(0) = -1/12)."""
     if k < 0 or M < 1 or n < 0:
         raise ValueError("moment_H requires k >= 0, M >= 1, n >= 0")
-    m %= M
     tmax = math.isqrt(4 * n)
-    table = ensure_table(4 * n)
-    num = 0
-    for t in range(-tmax, tmax + 1):
-        if (t - m) % M == 0:
-            num += t**k * int(table.h12[4 * n - t * t])
+    t = np.arange(-tmax + (m + tmax) % M, tmax + 1, M)
+    h = ensure_table(4 * n).h12[4 * n - t * t].tolist()
+    num = sum(h) if k == 0 else sum(x**k * y for x, y in zip(t.tolist(), h))
     return Fraction(num, 12)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def lambda_moment(k: int, m: int, M: int, n: int) -> Fraction:
     """Sum of (smaller divisor)^(k+1) over factorizations n = u*v with
     u + v = +-m (mod M); the sign branch carries (-1)^k and u = v counts half."""
@@ -147,7 +188,7 @@ def reduction_coefficient(k: int, mu: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def reduction_coefficient_rec(k: int, mu: int) -> int:
     """Same coefficients by the defining recursion, kept as an independent route."""
     if not 0 <= 2 * mu <= k + 1:

@@ -1,9 +1,12 @@
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hurwitzbias
 from hurwitzbias.arith import (
     catalan_ext,
     divisors,
@@ -154,3 +157,15 @@ def test_is_square():
     squares = {n * n for n in range(40)}
     for n in range(-5, 1500):
         assert is_square(n) == (n in squares)
+
+
+def test_library_caches_are_bounded():
+    bounded = set()
+    for info in pkgutil.iter_modules(hurwitzbias.__path__):
+        module = importlib.import_module(f"hurwitzbias.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                assert obj.cache_info().maxsize is not None, f"{module.__name__}.{name}"
+                bounded.add(name)
+    assert {"factorize", "moment_H", "lambda_moment", "trace_mass_table",
+            "reduction_coefficient_rec"} <= bounded

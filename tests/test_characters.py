@@ -20,7 +20,6 @@ from hurwitzbias.characters import (
     gauss_quad_closed,
     gauss_quad_direct,
     gauss_sum,
-    induce_primitive,
     is_primitive,
     is_real,
     kronecker_character,
@@ -32,6 +31,22 @@ from hurwitzbias.characters import (
     root_values,
     star_char,
 )
+
+
+def induce_primitive(chi):
+    """The primitive character inducing chi: its values at a lift of each x
+    mod the conductor to a unit mod chi.modulus."""
+    n = conductor(chi)
+    if n == chi.modulus:
+        return chi
+
+    def lift(x):
+        y = x % n if n > 1 else 1
+        while math.gcd(y, chi.modulus) != 1:
+            y += n
+        return y
+
+    return from_values(n, lambda x: char_eval(chi, lift(x)))
 
 
 def brute_conductor(chi):

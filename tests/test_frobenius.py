@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hurwitzbias import frobenius
+from hurwitzbias.arith import primes_upto
 from hurwitzbias.frobenius import (
     ExpansionTerms,
     S_direct,
@@ -151,6 +152,18 @@ def test_expansion_trivial_modulus_slots():
     terms = expansion_p(1, 1, 7)
     assert terms.delta_star == 2
     assert terms.remainder == -2
+
+
+def test_twist_class_rows_match_every_a(monkeypatch):
+    # One weighted row per quartic-twist class must tally exactly what the
+    # full enumeration, one row of weight 1 for every a in F_q, tallies.
+    classes = {p: frobenius._prime_field_tally(p) for p in primes_upto(200) if p >= 5}
+    squares = {p: frobenius._quadratic_field_tally(p) for p in (5, 7, 11, 13, 17, 19)}
+    monkeypatch.setattr(frobenius, "_twist_classes", lambda q, power: [(a, 1) for a in range(q)])
+    for p, tally in classes.items():
+        assert tally == frobenius._prime_field_tally(p), p
+    for p, tally in squares.items():
+        assert tally == frobenius._quadratic_field_tally(p), p * p
 
 
 def test_argument_validation():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,37 @@ def test_table_matches_direct():
         assert table.value(d) == hurwitz_direct(d), d
 
 
+def strided_sieve(limit):
+    """The sieve as one strided add per (a, b) tail, from 0: the reference
+    for the periodic sieve."""
+    h = np.zeros(limit + 1, dtype=np.int64)
+    for a in range(1, math.isqrt(limit // 3) + 1):
+        for b in range(a + 1):
+            d0 = 4 * a * a - b * b
+            if d0 <= limit:
+                h[d0] += 6 if b == 0 else (4 if b == a else 12)
+            h[d0 + 4 * a :: 4 * a] += 12 if b in (0, a) else 24
+    h[0] = -1
+    return h
+
+
+def test_table_matches_strided_sieve():
+    for limit in (0, 1, 3, 4, 15, 16, 100, 10**5):
+        assert np.array_equal(HurwitzTable(limit).h12, strided_sieve(limit)), limit
+
+
+def test_table_grows_in_a_chain():
+    # limits that are not multiples of 4a, so every growth step cuts the
+    # periodic patterns and the head scatters mid-period
+    table = HurwitzTable(0)
+    for limit in (999, 2500, 7001):
+        table = HurwitzTable(limit, table)
+        assert table.limit == limit
+        assert np.array_equal(table.h12, HurwitzTable(limit).h12), limit
+    for d in range(7002):
+        assert table.value(d) == hurwitz_direct(d), d
+
+
 def test_ensure_table_grows():
     t = ensure_table(100)
     assert t.limit >= 100
@@ -96,6 +128,23 @@ def test_moment_partition():
         for n in (7, 12, 25):
             total = sum(moment_H(0, m, M, n) for m in range(M))
             assert total == moment_H(0, 0, 1, n)
+
+
+def moment_by_filter(k, m, M, n):
+    tmax = math.isqrt(4 * n)
+    return sum(
+        (t**k * hurwitz_H(4 * n - t * t) for t in range(-tmax, tmax + 1) if (t - m) % M == 0),
+        Fraction(0),
+    )
+
+
+def test_moment_steps_match_filter():
+    # negative m, m >= M, M = 1, and n = s^2 where t = +-2s hits H(0)
+    for k in range(4):
+        for M in (1, 2, 3, 5, 12):
+            for m in (-13, -5, -1, 0, 1, 4, 12, 29):
+                for n in (1, 2, 4, 9, 10, 36, 37, 100, 121):
+                    assert moment_H(k, m, M, n) == moment_by_filter(k, m, M, n), (k, m, M, n)
 
 
 def lambda_brute(k, m, M, n):
