@@ -6,7 +6,6 @@ with closed-form signs, and verification suites cross-checking every closed
 form against an independent brute-force route.
 """
 
-from .arith import ExactRational
 from .bias import (
     A1_chars,
     A1_closed,
@@ -21,8 +20,6 @@ from .bias import (
     sign_rules,
 )
 from .eisenstein import (
-    Config,
-    DEFAULT_CONFIG,
     cusp_residual_0,
     main_term,
     residual_series,
@@ -50,10 +47,7 @@ __all__ = [
     "A2_chars",
     "A2_closed",
     "BiasResult",
-    "Config",
-    "DEFAULT_CONFIG",
     "DensityReport",
-    "ExactRational",
     "S_direct",
     "S_via_moments",
     "SUITES",

@@ -7,13 +7,7 @@ and no complex numbers (roots of unity live in characters.RootOfUnity).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-
-# Exact rational values (class numbers, moments, bias averages) are stdlib
-# Fractions throughout the package; denominators stay small (they divide 12
-# for class-number data), so nothing fancier is needed.
-ExactRational = Fraction
 
 # Witness set is deterministic for all n < 3.3 * 10**24, so for every 64-bit input.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

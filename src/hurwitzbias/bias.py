@@ -15,15 +15,7 @@ from typing import Iterable, Iterator
 
 from .arith import euler_phi, factorize, odd_part, primes_upto
 from .characters import char_table, real_primitive_chars, root_values
-from .eisenstein import (
-    Config,
-    DEFAULT_CONFIG,
-    IM_TOL,
-    coeff_a,
-    in_S,
-    leading_coefficients,
-    prefactor,
-)
+from .eisenstein import IM_TOL, coeff_a, in_S, leading_coefficients, prefactor
 from .hurwitz import moment_H
 
 
@@ -41,16 +33,14 @@ def delta_star_sq(x: int, m: int, M: int) -> int:
     return int((2 * x - m) % M == 0) + int((2 * x + m) % M == 0)
 
 
-def leading_sum(
-    m: int, M: int, x: int, power: int = 1, cfg: Config = DEFAULT_CONFIG
-) -> float:
+def leading_sum(m: int, M: int, x: int, power: int = 1) -> float:
     """Real part of the leading-coefficient average at residue x.
 
     Sums prefactor * coeff_a(eta, 1) * eta(x)^power over the participating
     characters; the imaginary parts must cancel.
     """
     total = 0j
-    for eta, coeff in leading_coefficients(m, M, cfg):
+    for eta, coeff in leading_coefficients(m, M):
         L, e = char_table(eta)
         k = e[x % eta.modulus]
         total += coeff * (root_values(L)[k] if k >= 0 else 0j) ** power
@@ -91,7 +81,7 @@ def A1_closed(m: int, M: int) -> Fraction:
     return Fraction(num, den)
 
 
-def A1_chars(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
+def A1_chars(m: int, M: int) -> float:
     """The F_p bias average straight from its residue-sum definition."""
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -99,7 +89,7 @@ def A1_chars(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
     for x in range(1, M + 1):
         if math.gcd(x, M) != 1:
             continue
-        total += leading_sum(m, M, x, 1, cfg) - delta_star(x, m, M)
+        total += leading_sum(m, M, x, 1) - delta_star(x, m, M)
     return total / (2 * euler_phi(M))
 
 
@@ -125,7 +115,7 @@ def epsilon_mM(m: int, M: int) -> Fraction:
     )
 
 
-def A2_closed(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
+def A2_closed(m: int, M: int) -> float:
     """Closed form of the F_{p^2} bias average.
 
     Orthogonality kills every non-real character in the residue average, so
@@ -138,14 +128,14 @@ def A2_closed(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
     total = 0j
     for eta in real_primitive_chars(M):
         if in_S(eta, m, M, 1):
-            total += coeff_a(eta, 1, m, M, cfg)
+            total += coeff_a(eta, 1, m, M)
     if abs(total.imag) >= IM_TOL:
         raise ArithmeticError(f"real-character block came out complex: {total!r}")
     first = euler_phi(M) * float(prefactor(M)) * total.real
     return (first + float(epsilon_mM(m, M))) / (2 * euler_phi(M))
 
 
-def A2_chars(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
+def A2_chars(m: int, M: int) -> float:
     """The F_{p^2} bias average from its residue-sum definition.
 
     The boundary moment is always computed from the definition; short
@@ -159,7 +149,7 @@ def A2_chars(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> float:
         if math.gcd(x, M) != 1:
             continue
         xbar = pow(x, -1, M)
-        total += leading_sum(m, M, x, 2, cfg)
+        total += leading_sum(m, M, x, 2)
         total -= delta_star_sq(x, m, M)
         total -= float(moment_H(2, (xbar * m) % M, M, 1))
     return total / (2 * euler_phi(M))
@@ -206,17 +196,15 @@ class BiasResult:
     predicted_sign: int | None
 
 
-def bias_result(
-    quantity: str, m: int, M: int, route: str = "closed", cfg: Config = DEFAULT_CONFIG
-) -> BiasResult:
+def bias_result(quantity: str, m: int, M: int, route: str = "closed") -> BiasResult:
     if quantity not in ("a1", "a2"):
         raise ValueError("quantity must be 'a1' or 'a2'")
     if route not in ("closed", "chars"):
         raise ValueError("route must be 'closed' or 'chars'")
     if quantity == "a1":
-        value = A1_closed(m, M) if route == "closed" else A1_chars(m, M, cfg)
+        value = A1_closed(m, M) if route == "closed" else A1_chars(m, M)
     else:
-        value = A2_closed(m, M, cfg) if route == "closed" else A2_chars(m, M, cfg)
+        value = A2_closed(m, M) if route == "closed" else A2_chars(m, M)
     wanted = "A1" if quantity == "a1" else "A2"
     predicted = next((s.sign for s in sign_rules(m, M) if s.quantity == wanted), None)
     return BiasResult(quantity=quantity, m=m, M=M, value=value, predicted_sign=predicted)
@@ -268,7 +256,7 @@ def density_scan(X: int) -> DensityReport:
     return DensityReport(X=X, positive=positive, zero=zero, negative=negative)
 
 
-def empirical_A1(m: int, M: int, X: int, cfg: Config = DEFAULT_CONFIG) -> float:
+def empirical_A1(m: int, M: int, X: int) -> float:
     """Average of the exact subleading coefficient over actual primes <= X."""
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -277,7 +265,7 @@ def empirical_A1(m: int, M: int, X: int, cfg: Config = DEFAULT_CONFIG) -> float:
     summand = {}
     for x in range(1, M + 1):
         if math.gcd(x, M) == 1:
-            summand[x % M] = (leading_sum(m, M, x, 1, cfg) - delta_star(x, m, M)) / 2
+            summand[x % M] = (leading_sum(m, M, x, 1) - delta_star(x, m, M)) / 2
     total = 0.0
     count = 0
     for p in primes_upto(X):
@@ -285,4 +273,6 @@ def empirical_A1(m: int, M: int, X: int, cfg: Config = DEFAULT_CONFIG) -> float:
             continue
         total += summand[p % M]
         count += 1
+    if count == 0:
+        raise ValueError(f"no prime p <= {X} is coprime to M = {M}")
     return total / count

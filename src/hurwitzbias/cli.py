@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bias import DensityReport, a1_census, bias_result, empirical_A1
-from .eisenstein import DEFAULT_CONFIG, Config, main_term, reduce_residue
+from .eisenstein import main_term, reduce_residue
 from .frobenius import S_via_moments
 from .hurwitz import ensure_table, hurwitz_H, lambda_moment, moment_H
 from .verify import SUITES, run_suites
@@ -46,22 +46,8 @@ def _emit_value(args, value, **inputs) -> None:
         print(_fmt(value))
 
 
-def _config_from_args(args) -> Config:
-    return Config(eta0_reading=args.eta0_reading)
-
-
 def _add_format_flag(parser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _add_reading_flags(parser) -> None:
-    parser.add_argument("--eta0-reading", dest="eta0_reading",
-                        choices=("eta", "eta_hat", "eta_tilde"),
-                        default=DEFAULT_CONFIG.eta0_reading)
-    parser.add_argument("--phi-reading", dest="phi_reading",
-                        choices=("eta_tilde", "eta_star"), default="eta_tilde",
-                        help="whose conductor feeds the Euler phi factor; "
-                             "both readings give the same conductor")
 
 
 def _cmd_hurwitz(args) -> int:
@@ -97,7 +83,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_main_term(args) -> int:
-    value = main_term(args.m, args.M, args.n, _config_from_args(args))
+    value = main_term(args.m, args.M, args.n)
     _emit_value(args, value, m=args.m, M=args.M, n=args.n)
     return 0
 
@@ -105,12 +91,12 @@ def _cmd_main_term(args) -> int:
 RESIDUAL_COLUMNS = ("n", "moment", "lambda", "main_term", "residual")
 
 
-def _residual_rows(m: int, M: int, max_n: int, cfg: Config):
+def _residual_rows(m: int, M: int, max_n: int):
     m = reduce_residue(m, M)
     for n in range(1, max_n + 1):
         mom = moment_H(0, m, M, n)
         lam = lambda_moment(0, m, M, n)
-        main = main_term(m, M, n, cfg)
+        main = main_term(m, M, n)
         # the same arithmetic as cusp_residual_0, from the values already in hand
         residual = float(mom + lam) - main
         yield (str(n), _fmt(mom), _fmt(lam), _fmt(main), _fmt(residual))
@@ -133,8 +119,7 @@ def _write_csv(path: str, header, lines) -> None:
 def _cmd_residual(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    cfg = _config_from_args(args)
-    rows = list(_residual_rows(args.m, args.M, args.max_n, cfg))
+    rows = list(_residual_rows(args.m, args.M, args.max_n))
     lines = (",".join(row) for row in rows)
     if args.out:
         _write_csv(args.out, RESIDUAL_COLUMNS, lines)
@@ -155,8 +140,7 @@ def _cmd_trace_moment(args) -> int:
 
 
 def _cmd_bias(args) -> int:
-    result = bias_result(args.quantity, args.m, args.M, route=args.route,
-                         cfg=_config_from_args(args))
+    result = bias_result(args.quantity, args.m, args.M, route=args.route)
     _emit_value(args, result.value, quantity=args.quantity, m=args.m,
                 M=args.M, route=args.route,
                 predicted_sign=result.predicted_sign)
@@ -192,7 +176,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_empirical(args) -> int:
-    value = empirical_A1(args.m, args.M, args.X, _config_from_args(args))
+    value = empirical_A1(args.m, args.M, args.X)
     _emit_value(args, value, m=args.m, M=args.M, X=args.X)
     return 0
 
@@ -216,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version",
         version=(f"hurwitzbias {__version__} "
-                 f"(eta0 reading: {DEFAULT_CONFIG.eta0_reading}, "
-                 "phi conductor reading: eta_tilde)"))
+                 "(eta0 reading: eta, phi conductor reading: eta_tilde)"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hurwitz", help="single class number H(D)")
@@ -246,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--m", "--M", "--n"):
         p.add_argument(flag, type=int, required=True)
     _add_format_flag(p)
-    _add_reading_flags(p)
     p.set_defaults(func=_cmd_main_term)
 
     p = sub.add_parser("residual", help="cusp residual series up to max-n")
@@ -255,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", dest="max_n", type=int, required=True)
     p.add_argument("--out", help="write CSV here instead of stdout")
     _add_format_flag(p)
-    _add_reading_flags(p)
     p.set_defaults(func=_cmd_residual)
 
     p = sub.add_parser("trace-moment",
@@ -271,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--route", choices=("closed", "chars"), default="closed")
     _add_format_flag(p)
-    _add_reading_flags(p)
     p.set_defaults(func=_cmd_bias)
 
     p = sub.add_parser("scan", help="sign census over all classes with M <= X")
@@ -285,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--X", type=int, required=True)
     _add_format_flag(p)
-    _add_reading_flags(p)
     p.set_defaults(func=_cmd_empirical)
 
     p = sub.add_parser("verify", help="run self-check suites")

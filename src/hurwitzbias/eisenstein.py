@@ -3,9 +3,10 @@ expansion, and extraction of the cusp component as a residual.
 
 The expansion runs over primitive characters with conductor dividing the
 progression modulus and over an admissibility set of auxiliary divisors;
-each term carries an explicitly computable complex coefficient. Config
-selects the reading of the one ambiguous eps factor; the verification
-suites run under the default.
+each term carries an explicitly computable complex coefficient. The eps
+factors read the odd part of eta's own conductor; the Euler phi reads the
+non-quadratic part's, which the star character shares (see
+characters.star_char).
 """
 
 from __future__ import annotations
@@ -39,26 +40,6 @@ from .characters import (
 from .hurwitz import lambda_moment, moment_H
 
 IM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Config:
-    """Reading of the one notational ambiguity in the coefficient formula.
-
-    eta0_reading: whose conductor's odd part feeds the eps factors
-    ("eta", "eta_hat" or "eta_tilde"). The Euler phi in the denominator
-    needs no reading: the non-quadratic part and the star character have
-    the same conductor (see characters.star_char).
-    """
-
-    eta0_reading: str = "eta"
-
-    def __post_init__(self):
-        if self.eta0_reading not in ("eta", "eta_hat", "eta_tilde"):
-            raise ValueError("unknown eta0_reading")
-
-
-DEFAULT_CONFIG = Config()
 
 
 def reduce_residue(m: int, M: int) -> int:
@@ -150,21 +131,14 @@ def _local_component(eta: DirichletCharacter, p: int) -> DirichletCharacter:
     return DirichletCharacter(1, ())
 
 
-def _eta0_conductor(eta: DirichletCharacter, cfg: Config) -> int:
-    if cfg.eta0_reading == "eta":
-        return eta.modulus
-    hat, tilde = quad_decomp(eta)
-    return hat.modulus if cfg.eta0_reading == "eta_hat" else tilde.modulus
-
-
-def phi2(eta: DirichletCharacter, cfg: Config = DEFAULT_CONFIG) -> complex:
+def phi2(eta: DirichletCharacter) -> complex:
     """Correction factor at the prime 2, split by where 2 sits in the conductor."""
     hat, tilde = quad_decomp(eta)
     if hat.modulus % 2 == 0:
         eta2 = _local_component(eta, 2)
         if eta2 == kronecker_character(8):
             return 1 + 0j
-        sign = (eps(odd_part(_eta0_conductor(eta, cfg))) ** 2).value
+        sign = (eps(odd_part(eta.modulus)) ** 2).value
         return -1j * sign
     if tilde.modulus % 2 == 0:
         n2 = p_part(eta.modulus, 2)
@@ -174,7 +148,7 @@ def phi2(eta: DirichletCharacter, cfg: Config = DEFAULT_CONFIG) -> complex:
 
 
 @lru_cache(maxsize=1 << 12)
-def _char_factors(eta: DirichletCharacter, cfg: Config) -> tuple:
+def _char_factors(eta: DirichletCharacter) -> tuple:
     """The factors of coeff_a that depend on eta alone, in the order it uses them.
 
     Each of eta, tilde and hat comes as its modulus, its char_table entries
@@ -189,9 +163,9 @@ def _char_factors(eta: DirichletCharacter, cfg: Config) -> tuple:
         tables.append((chi.modulus, e, root_values(L)))
     return (
         *tables,
-        (eps(odd_part(_eta0_conductor(eta, cfg))) ** 3).value,
+        (eps(odd_part(eta.modulus)) ** 3).value,
         char_eval(star, hat.modulus).value,
-        phi2(eta, cfg),
+        phi2(eta),
         gauss_sum(star),
         phi_n,
         gauss_sum(eta),
@@ -199,9 +173,7 @@ def _char_factors(eta: DirichletCharacter, cfg: Config) -> tuple:
     )
 
 
-def coeff_a(
-    eta: DirichletCharacter, d: int, m: int, M: int, cfg: Config = DEFAULT_CONFIG
-) -> complex:
+def coeff_a(eta: DirichletCharacter, d: int, m: int, M: int) -> complex:
     """Coefficient of sigma_twisted(eta, n/d) in the main-term expansion
     (without the global rational prefactor)."""
     m = reduce_residue(m, M)
@@ -210,7 +182,7 @@ def coeff_a(
         (n_tilde, e_tilde, roots_tilde),
         (n_hat, e_hat, roots_hat),
         eps3, star_at_hat, phi2_eta, g_star, phi_n, g_eta, sqrt_n,
-    ) = _char_factors(eta, cfg)
+    ) = _char_factors(eta)
     g = math.gcd(4 * d, m * m)
 
     k = e_eta[4 * d // g % n_eta]
@@ -273,7 +245,6 @@ class MainTermExpansion:
     M: int
     prefactor: Fraction
     terms: tuple[tuple[DirichletCharacter, int, complex], ...]
-    config: Config
 
     def evaluate(self, n: int) -> float:
         total = 0j
@@ -289,7 +260,7 @@ class MainTermExpansion:
 
 
 @lru_cache(maxsize=1 << 12)
-def build_expansion(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> MainTermExpansion:
+def build_expansion(m: int, M: int) -> MainTermExpansion:
     m = reduce_residue(m, M)
     terms = []
     for n_eta in divisors(M):
@@ -297,21 +268,21 @@ def build_expansion(m: int, M: int, cfg: Config = DEFAULT_CONFIG) -> MainTermExp
         for eta in primitive_chars(n_eta):
             for d in divisors(quot2):
                 if in_S(eta, m, M, d):
-                    terms.append((eta, d, coeff_a(eta, d, m, M, cfg)))
-    return MainTermExpansion(m, M, prefactor(M), tuple(terms), cfg)
+                    terms.append((eta, d, coeff_a(eta, d, m, M)))
+    return MainTermExpansion(m, M, prefactor(M), tuple(terms))
 
 
-def main_term(m: int, M: int, n: int, cfg: Config = DEFAULT_CONFIG) -> float:
+def main_term(m: int, M: int, n: int) -> float:
     """Eisenstein part of the zeroth moment at n."""
     if n < 1:
         raise ValueError("main_term requires n >= 1")
-    return build_expansion(reduce_residue(m, M), M, cfg).evaluate(n)
+    return build_expansion(reduce_residue(m, M), M).evaluate(n)
 
 
-def cusp_residual_0(m: int, M: int, n: int, cfg: Config = DEFAULT_CONFIG) -> float:
+def cusp_residual_0(m: int, M: int, n: int) -> float:
     """Coefficient of the weight-2 cusp component: moment + divisor sum - main term."""
     exact = moment_H(0, m, M, n) + lambda_moment(0, m, M, n)
-    return float(exact) - main_term(m, M, n, cfg)
+    return float(exact) - main_term(m, M, n)
 
 
 @dataclass(frozen=True)
@@ -326,16 +297,16 @@ class ResidualSeries:
         return self.values[n - 1]
 
 
-def residual_series(m: int, M: int, n_max: int, cfg: Config = DEFAULT_CONFIG) -> ResidualSeries:
+def residual_series(m: int, M: int, n_max: int) -> ResidualSeries:
     """Cusp residuals for n = 1..n_max as a dense series."""
     m = reduce_residue(m, M)
-    vals = tuple(cusp_residual_0(m, M, n, cfg) for n in range(1, n_max + 1))
+    vals = tuple(cusp_residual_0(m, M, n) for n in range(1, n_max + 1))
     return ResidualSeries(m, M, vals)
 
 
 @lru_cache(maxsize=1 << 12)
 def leading_coefficients(
-    m: int, M: int, cfg: Config = DEFAULT_CONFIG
+    m: int, M: int
 ) -> tuple[tuple[DirichletCharacter, complex], ...]:
     """Prefactor-scaled d = 1 coefficients, one per participating character.
 
@@ -343,9 +314,7 @@ def leading_coefficients(
     and every residue-average built on top of it.
     """
     pref = float(prefactor(M))
-    return tuple(
-        (eta, pref * coeff_a(eta, 1, m, M, cfg)) for eta in S_set(m, M)
-    )
+    return tuple((eta, pref * coeff_a(eta, 1, m, M)) for eta in S_set(m, M))
 
 
 def S_set(m: int, M: int) -> tuple[DirichletCharacter, ...]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import factorize, is_prime, kronecker
 from .bias import delta_star, delta_star_sq, leading_sum
-from .eisenstein import Config, DEFAULT_CONFIG, cusp_residual_0
+from .eisenstein import cusp_residual_0
 from .hurwitz import cusp_coefficient, hurwitz_H, moment_H
 
 _Q_CAP = 20_000
@@ -193,6 +193,8 @@ def S_direct(k: int, m: int, M: int, q: int) -> Fraction:
 
 
 def _check_bridge_args(p: int, M: int, r: int) -> None:
+    if M < 1:
+        raise ValueError("M must be >= 1")
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
     if math.gcd(p, M) != 1:
@@ -289,12 +291,12 @@ class ExpansionTerms:
         return out
 
 
-def expansion_p(m: int, M: int, p: int, cfg: Config = DEFAULT_CONFIG) -> ExpansionTerms:
+def expansion_p(m: int, M: int, p: int) -> ExpansionTerms:
     """Size-graded pieces of 2*S_2(p), exact including the remainder."""
     _check_bridge_args(p, M, 1)
-    lead = leading_sum(m, M, p, 1, cfg)
+    lead = leading_sum(m, M, p, 1)
     ds = delta_star(p % M if M > 1 else 0, m, M)
-    cusp = cusp_residual_0(m, M, p, cfg) * p + float(cusp_coefficient(2, m, M, p))
+    cusp = cusp_residual_0(m, M, p) * p + float(cusp_coefficient(2, m, M, p))
     return ExpansionTerms(
         m=m,
         M=M,
@@ -308,18 +310,18 @@ def expansion_p(m: int, M: int, p: int, cfg: Config = DEFAULT_CONFIG) -> Expansi
     )
 
 
-def expansion_p2(m: int, M: int, p: int, cfg: Config = DEFAULT_CONFIG) -> ExpansionTerms:
+def expansion_p2(m: int, M: int, p: int) -> ExpansionTerms:
     """Size-graded pieces of 2*S_2(p^2), exact including the remainder."""
     _check_bridge_args(p, M, 2)
     x = p % M if M > 1 else 0
-    lead = leading_sum(m, M, p, 2, cfg)
+    lead = leading_sum(m, M, p, 2)
     ds2 = delta_star_sq(x, m, M)
     pbar = pow(p, -1, M) if M > 1 else 0
     h2 = float(moment_H(2, (m * pbar) % M, M, 1))
     # the (1, p^2) divisor pair contributes through t = p^2 + 1
     dsq = int((p * p + 1 - m) % M == 0) + int((p * p + 1 + m) % M == 0)
     n = p * p
-    cusp = cusp_residual_0(m, M, n, cfg) * n + float(cusp_coefficient(2, m, M, n))
+    cusp = cusp_residual_0(m, M, n) * n + float(cusp_coefficient(2, m, M, n))
     return ExpansionTerms(
         m=m,
         M=M,

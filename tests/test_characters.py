@@ -268,7 +268,7 @@ def test_star_char():
 
 
 def test_star_char_keeps_the_non_quadratic_conductor():
-    # Why Config needs no phi reading: eta_star and eta_tilde share a conductor.
+    # Why the Euler phi needs no reading: eta_star and eta_tilde share a conductor.
     for n in range(1, 121):
         for eta in primitive_chars(n):
             star = star_char(eta)

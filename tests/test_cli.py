@@ -145,9 +145,25 @@ def test_flag_errors_exit_two(capsys):
                  ("residual", "--m", "1", "--M", "0", "--max-n", "5"),
                  ("main-term", "--m", "1", "--M", "0", "--n", "5")):
         assert run(capsys, *argv) == (2, "", "error: M must be >= 1\n"), argv
+    for argv, err in (
+            # empirical: no prime p <= X is coprime to M, so nothing is averaged
+            (("empirical", "--m", "1", "--M", "2", "--X", "2"),
+             "error: no prime p <= 2 is coprime to M = 2\n"),
+            (("empirical", "--m", "1", "--M", "6", "--X", "3"),
+             "error: no prime p <= 3 is coprime to M = 6\n"),
+            (("trace-moment", "--k", "0", "--m", "1", "--M", "0", "--p", "5",
+              "--r", "1"), "error: M must be >= 1\n"),
+            (("trace-moment", "--k", "0", "--m", "1", "--M", "-3", "--p", "5",
+              "--r", "1"), "error: M must be >= 1\n")):
+        assert run(capsys, *argv) == (2, "", err), argv
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    # the main term has one reading, so no flag selects it
+    for flag in (("--eta0-reading", "eta"), ("--phi-reading", "eta_tilde")):
+        with pytest.raises(SystemExit) as exc:
+            main(["main-term", "--m", "3", "--M", "13", "--n", "97", *flag])
+        assert exc.value.code == 2, flag
     with pytest.raises(SystemExit) as exc:
         main(["moment", "--k", "0"])
     assert exc.value.code == 2
@@ -212,14 +228,3 @@ def test_golden_scan(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out == f"wrote 45150 rows to {target}\n" + SCAN_300_SUMMARY
     assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_300_CSV
-
-
-def test_phi_reading_flag_is_accepted_and_immaterial(capsys):
-    argv = ("main-term", "--m", "3", "--M", "13", "--n", "97")
-    default = run(capsys, *argv)
-    assert default == (0, "14\n", "")
-    for reading in ("eta_tilde", "eta_star"):
-        assert run(capsys, *argv, "--phi-reading", reading) == default
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--phi-reading", "bogus"])
-    assert exc.value.code == 2
