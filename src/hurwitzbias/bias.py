@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .arith import euler_phi, factorize, odd_part, primes_upto
 from .characters import char_table, real_primitive_chars, root_values
-from .eisenstein import IM_TOL, coeff_a, in_S, leading_coefficients, prefactor
+from .eisenstein import IM_TOL, coeff_a, in_S, leading_coefficients, prefactor, reduce_residue
 from .hurwitz import moment_H
 
 
@@ -75,9 +75,7 @@ def _a1_ratios(M: int, ms: Iterable[int]) -> Iterator[tuple[int, int, int]]:
 @lru_cache(maxsize=1 << 16)
 def A1_closed(m: int, M: int) -> Fraction:
     """Closed form of the F_p bias average, exact."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    ((_, num, den),) = _a1_ratios(M, (m,))
+    ((_, num, den),) = _a1_ratios(M, (reduce_residue(m, M),))
     return Fraction(num, den)
 
 

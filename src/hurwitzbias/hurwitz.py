@@ -3,10 +3,12 @@ reduction of higher moments to the zeroth one.
 
 Two independent routes to the class numbers: hurwitz_direct enumerates
 reduced quadratic forms one discriminant at a time (slow, serves as oracle),
-while the sieve table counts (a, b, c) triples once for a whole range, as
-one scatter and one pattern of period 4a per a.  The shared table grows by
-sieving only the discriminants it lacks, and moment_H steps through the
-traces of its class by M.
+while the sieve table counts (a, b, c) triples once for a whole range.  Per
+a, one scatter adds the terms below d = 4a^2 + 4a, and two patterns of
+period a add the rest into quarter-length int32 arrays, one for d = 0 and
+one for d = 3 (mod 4), the only classes that have forms.  The shared table
+grows by sieving only the discriminants it lacks, and moment_H steps
+through the traces of its class by M.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import numpy as np
 from .arith import catalan_ext
 
 _TABLE_HARD_LIMIT = 50_000_000
+# width of the rows a periodic pattern is added in, tiled up to it; of 64 ..
+# 65536 it was the fastest for tables of 10^6 to 4*10^6 on a 2-core machine
+_ROW = 4096
 
 
 def hurwitz_direct(d: int) -> Fraction:
@@ -51,45 +56,77 @@ def hurwitz_direct(d: int) -> Fraction:
     return total
 
 
+def _add_periodic(q: np.ndarray, first: int, start: int, pattern: np.ndarray) -> None:
+    """q[k] += pattern[(first + k) % len(pattern)] wherever first + k >= start.
+
+    q holds the entries first, first + 1, ... of one quarter array.  The
+    pattern is tiled up to _ROW, so that a short period still adds in long
+    rows: at a = 1 rows of one entry cost more than the adds they save.
+    """
+    k0 = max(start - first, 0)
+    if k0 >= q.size:
+        return
+    a = pattern.size
+    row = a * -(-_ROW // a)
+    shift = (first + k0) % a
+    pattern = pattern[None].repeat(row // a + 1, 0).ravel()[shift : shift + row]
+    stop = q.size - (q.size - k0) % row
+    q[k0:stop].reshape(-1, row)[...] += pattern
+    q[stop:] += pattern[: q.size - stop]
+
+
 def _sieve_range(h: np.ndarray, lo: int, hi: int) -> None:
     """Add every weighted reduced form (a, b, c) with lo <= 4ac - b^2 <= hi
     into h, which is indexed by discriminant.
 
     For each a and 0 <= b <= a, c = a is the head term at d = 4a^2 - b^2
     (weight 6, 4 or 12 in units of 1/12), and c > a is a tail with weight 12
-    or 24 at every d = 4a^2 - b^2 + 4aj, j >= 1.  From d = 4a^2 + 4a on every
-    tail is running, so they add one pattern of period 4a, carrying tail(b) at
-    residue -b^2 (mod 4a).  The heads and the tail terms below 4a^2 + 4a go in
-    by one scatter, through np.add.at because two of them land on the same d
-    whenever b1^2 = b2^2 (mod 4a), e.g. a head and a first tail when
-    b1^2 - b2^2 = 4a.
+    or 24 at every d = 4a^2 - b^2 + 4aj, j >= 1.  Only d = 0, 3 (mod 4) has
+    forms, so the tails are summed in two quarter arrays: E[i] for d = 4i
+    (even b = 2e) and O[i] for d = 4i + 3 (odd b = 2e + 1).  There a tail
+    steps by a, at residue floor((4a^2 - b^2) / 4) (mod a), which is -e^2 in E
+    and -(e^2 + e + 1) in O.
+    From i = a^2 + a (d >= 4a^2 + 4a) on every tail is running, so each a
+    adds one pattern of period a to each array.  The heads and the tail terms
+    below d = 4a^2 + 4a go into h by one scatter, each b's run of j clipped to
+    [lo, hi] first, through np.add.at because two of them land on the same d
+    whenever b1^2 = b2^2 (mod 4a).  E and O are int32: an entry collects at
+    most one pattern value per a, at most 24 (a + 1), and that sum stays below
+    2^31 up to _TABLE_HARD_LIMIT.  The scatter weights stay int64, the dtype
+    of h, which keeps np.add.at on its fast path.
     """
+    e0 = -(-lo // 4)  # first i with lo <= 4i
+    o0 = -(-(lo - 3) // 4)  # first i with lo <= 4i + 3
+    E = np.zeros(max(hi // 4 + 1 - e0, 0), dtype=np.int32)
+    O = np.zeros(max((hi - 3) // 4 + 1 - o0, 0), dtype=np.int32)
     for a in range(1, math.isqrt(hi // 3) + 1):
         step = 4 * a
-        periodic = 4 * a * a + step
         b = np.arange(a + 1)
-        sq = b * b
+        d0 = 4 * a * a - b * b
         tail = np.full(a + 1, 24)
         tail[0] = tail[a] = 12
-        if lo < periodic:
+        if lo < 4 * a * a + step:
             head = np.full(a + 1, 12)
             head[0], head[a] = 6, 4
-            # tail terms below the periodic start: j = 1 .. ceil(b^2 / 4a)
-            runs = (sq + step - 1) // step
-            bj = np.repeat(b, runs)
-            j = np.arange(bj.size) - np.repeat(np.cumsum(runs) - runs, runs) + 1
-            pos = np.concatenate((4 * a * a - sq, 4 * a * a - bj * bj + step * j))
-            weight = np.concatenate((head, tail[bj]))
-            keep = (pos >= lo) & (pos <= hi)
-            np.add.at(h, pos[keep], weight[keep])
-        start = max(lo, periodic)
-        if start > hi:
+            keep = (d0 >= lo) & (d0 <= hi)
+            # tail terms below the periodic start, j = 1 .. ceil(b^2 / 4a), in [lo, hi]
+            first = np.maximum(-((d0 - lo) // step), 1)
+            last = np.minimum(-(-b * b // step), (hi - d0) // step)
+            runs = np.maximum(last - first + 1, 0)
+            run0 = d0 + step * (first - np.cumsum(runs) + runs)
+            pos = np.repeat(run0, runs) + step * np.arange(runs.sum())
+            np.add.at(h, np.concatenate((d0[keep], pos)),
+                      np.concatenate((head[keep], np.repeat(tail, runs))))
+        start = a * a + a
+        if 4 * start > hi:
             continue
-        pattern = np.bincount(-sq % step, weights=tail, minlength=step).astype(np.int64)
-        pattern = np.roll(pattern, -(start % step))
-        stop = hi + 1 - (hi + 1 - start) % step
-        h[start:stop].reshape(-1, step)[...] += pattern
-        h[stop : hi + 1] += pattern[: hi + 1 - stop]
+        # both patterns from one bincount: E's in [0, a), O's in [a, 2a)
+        pattern = np.bincount(d0 // 4 % a + a * (b & 1), weights=tail, minlength=2 * a)
+        pattern = pattern.astype(np.int32)
+        _add_periodic(E, e0, start, pattern[:a])
+        _add_periodic(O, o0, start, pattern[a:])
+    h[4 * e0 : hi + 1 : 4] += E
+    h[4 * o0 + 3 : hi + 1 : 4] += O
 
 
 class HurwitzTable:
@@ -161,21 +198,16 @@ def lambda_moment(k: int, m: int, M: int, n: int) -> Fraction:
     u + v = +-m (mod M); the sign branch carries (-1)^k and u = v counts half."""
     if k < 0 or M < 1 or n < 1:
         raise ValueError("lambda_moment requires k >= 0, M >= 1, n >= 1")
-    total = Fraction(0)
+    twice = 0  # twice the sum, so that u = v counts 1 and every other u counts 2
     sign = -1 if k % 2 else 1
     for u in range(1, math.isqrt(n) + 1):
         if n % u:
             continue
-        v = n // u
-        t = u + v
-        w = Fraction(1, 2) if u == v else Fraction(1)
-        term = Fraction(0)
-        if (t - m) % M == 0:
-            term += 1
-        if (t + m) % M == 0:
-            term += sign
-        total += w * u ** (k + 1) * term
-    return total
+        t = u + n // u
+        term = ((t - m) % M == 0) + sign * ((t + m) % M == 0)
+        if term:
+            twice += (1 if u * u == n else 2) * term * u ** (k + 1)
+    return Fraction(twice, 2)
 
 
 def reduction_coefficient(k: int, mu: int) -> int:

@@ -154,7 +154,12 @@ def test_flag_errors_exit_two(capsys):
             (("trace-moment", "--k", "0", "--m", "1", "--M", "0", "--p", "5",
               "--r", "1"), "error: M must be >= 1\n"),
             (("trace-moment", "--k", "0", "--m", "1", "--M", "-3", "--p", "5",
-              "--r", "1"), "error: M must be >= 1\n")):
+              "--r", "1"), "error: M must be >= 1\n"),
+            # both A1 routes reject the excluded class, like A2 and empirical
+            (("bias", "a1", "--m", "0", "--M", "5"),
+             "error: the residue m = 0 is excluded\n"),
+            (("bias", "a1", "--m", "0", "--M", "5", "--route", "chars"),
+             "error: the residue m = 0 is excluded\n")):
         assert run(capsys, *argv) == (2, "", err), argv
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hurwitzbias.arith import primes_upto
 from hurwitzbias.hurwitz import (
+    _TABLE_HARD_LIMIT,
     HurwitzTable,
     cusp_coefficient,
     ensure_table,
@@ -74,8 +75,26 @@ def strided_sieve(limit):
 
 
 def test_table_matches_strided_sieve():
-    for limit in (0, 1, 3, 4, 15, 16, 100, 10**5):
+    # every limit up to 64, across the periodic starts d = 8, 24, 48 of
+    # a = 1, 2, 3, then one limit near 10^5 in each class mod 4
+    for limit in [*range(65), *range(10**5, 10**5 + 4)]:
         assert np.array_equal(HurwitzTable(limit).h12, strided_sieve(limit)), limit
+
+
+def test_table_grows_through_every_residue_class():
+    # each step ends on a new class mod 4, some steps shorter than 4, so the
+    # quarter arrays start and stop at every offset against E and O
+    table = HurwitzTable(0)
+    for limit in (1, 2, 3, 4, 7, 9, 14, 60, 61, 62, 63, 64, 1001, 1002, 5003, 20_000):
+        table = HurwitzTable(limit, table)
+        assert np.array_equal(table.h12, strided_sieve(limit)), limit
+
+
+def test_quarter_arrays_have_int32_headroom():
+    # an entry of E or O collects at most one pattern value, at most 24 (a + 1),
+    # per a that the largest guarded table sieves
+    a_max = math.isqrt(_TABLE_HARD_LIMIT // 3)
+    assert 24 * sum(a + 1 for a in range(1, a_max + 1)) < 2**31
 
 
 def test_table_grows_in_a_chain():
@@ -169,6 +188,16 @@ def lambda_brute(k, m, M, n):
 @given(st.integers(0, 4), st.integers(0, 7), st.integers(1, 8), st.integers(1, 100))
 def test_lambda_against_bruteforce(k, m, M, n):
     assert lambda_moment(k, m, M, n) == lambda_brute(k, m, M, n)
+
+
+def test_lambda_grid_against_bruteforce():
+    # perfect squares n = s^2, where u = v counts half, with negative m,
+    # m >= M and every k up to 8, the largest order moment_via_reduction is checked at
+    for k in range(9):
+        for M in (1, 3, 12):
+            for m in (-13, -2, 0, 5, 12, 29):
+                for n in [s * s for s in range(1, 41)]:
+                    assert lambda_moment(k, m, M, n) == lambda_brute(k, m, M, n), (k, m, M, n)
 
 
 def test_reduction_coefficients():
