@@ -1,7 +1,8 @@
 """Number-theory kernel: factorization, Kronecker symbols, small multiplicative helpers.
 
 Everything in this module is exact integer / rational arithmetic; no floats
-and no complex numbers (roots of unity live in characters.RootOfUnity).
+and no complex numbers (a root of unity is kept as its exact exponent, and
+characters.root turns that into a complex number).
 """
 
 from __future__ import annotations

@@ -18,6 +18,10 @@ from .characters import char_table, real_primitive_chars, root_values
 from .eisenstein import IM_TOL, coeff_a, in_S, leading_coefficients, prefactor, reduce_residue
 from .hurwitz import moment_H
 
+# empirical_A1 sieves every integer up to X in memory: about 100 MB of bytes
+# and a few hundred MB of prime list at the cap.
+_X_CAP = 10**8
+
 
 def delta_star(x: int, m: int, M: int) -> int:
     """Indicator weight of the divisor pair (1, x) in the class m (mod M)."""
@@ -260,6 +264,8 @@ def empirical_A1(m: int, M: int, X: int) -> float:
         raise ValueError("M must be >= 1")
     if X < 2:
         raise ValueError("X must be >= 2")
+    if X > _X_CAP:
+        raise ValueError(f"X = {X} exceeds the prime-sieve cap {_X_CAP}")
     summand = {}
     for x in range(1, M + 1):
         if math.gcd(x, M) == 1:

@@ -1,12 +1,14 @@
 """Dirichlet characters with exact root-of-unity values, plus Gauss sums.
 
 Characters are stored by their exponents on fixed generators of the local
-unit groups (Z/p^e)^*, so evaluation, products, conductors and induction are
-all exact integer arithmetic. Each character is evaluated from one cached
-integer table (char_table): chi(x) = e(e[x]/L), with L the lcm of the local
-generator orders and e[x] = -1 off the units. char_eval wraps a table entry
-as an exact RootOfUnity; the hot sums read the table and the per-L complex
-values of root_values directly.
+unit groups (Z/p^e)^*, so evaluation, products and conductors are all exact
+integer arithmetic. A character value is its exponent: chi(x) = e(expo) with
+expo an exact Fraction, and root(expo) is the one conversion to a complex
+number. Each character is evaluated from one cached integer table
+(char_table): chi(x) = e(e[x]/L), with L the lcm of the local generator
+orders and e[x] = -1 off the units. char_eval returns a table entry as the
+exponent Fraction(e[x], L), or None off the units; the hot sums read the
+table and the per-L complex values of root_values directly.
 """
 
 from __future__ import annotations
@@ -23,78 +25,34 @@ from .arith import divisors, factorize, inverse_mod, kronecker, ord_p
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """Zero or e^(2 pi i * expo) with expo an exact Fraction in [0, 1)."""
-
-    zero: bool
-    expo: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "expo", Fraction(0) if self.zero else self.expo % 1)
-
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(False, Fraction(0))
-
-    @classmethod
-    def zero_value(cls) -> "RootOfUnity":
-        return cls(True, Fraction(0))
-
-    @classmethod
-    def from_expo(cls, expo: Fraction) -> "RootOfUnity":
-        return cls(False, expo)
-
-    @property
-    def value(self) -> complex:
-        if self.zero:
-            return 0j
-        num, den = self.expo.numerator, self.expo.denominator
-        if den == 1:
-            return 1 + 0j
-        if den == 2:
-            return -1 + 0j
-        if den == 4:
-            return 1j if num % 4 == 1 else -1j
-        return cmath.exp(TWO_PI * 1j * num / den)
-
-    @property
-    def is_one(self) -> bool:
-        return not self.zero and self.expo == 0
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        if self.zero or other.zero:
-            return RootOfUnity.zero_value()
-        return RootOfUnity(False, self.expo + other.expo)
-
-    def __pow__(self, k: int) -> "RootOfUnity":
-        if self.zero:
-            return self
-        return RootOfUnity(False, self.expo * k)
-
-    def conj(self) -> "RootOfUnity":
-        if self.zero:
-            return self
-        return RootOfUnity(False, -self.expo)
+def root(expo: Fraction | None) -> complex:
+    """e(expo) = e^(2 pi i * expo) for an exact exponent; None (a character
+    off the units) gives 0."""
+    if expo is None:
+        return 0j
+    expo %= 1
+    num, den = expo.numerator, expo.denominator
+    if den == 1:
+        return 1 + 0j
+    if den == 2:
+        return -1 + 0j
+    if den == 4:
+        return 1j if num % 4 == 1 else -1j
+    return cmath.exp(TWO_PI * 1j * num / den)
 
 
-# Shared values (the class is frozen): char_eval's non-unit case, and eps's
-# two results, which gauss_quad_closed asks for on every call.
-_ZERO = RootOfUnity.zero_value()
-_EPS = (RootOfUnity.one(), RootOfUnity.from_expo(Fraction(1, 4)))
-
-
-def eps(d: int) -> RootOfUnity:
-    """eps_d = 1 for d = 1 mod 4 and i for d = 3 mod 4; rejects even d."""
+def eps(d: int) -> Fraction:
+    """The exponent of eps_d: 0 (eps_d = 1) for d = 1 mod 4 and 1/4 (eps_d = i)
+    for d = 3 mod 4; rejects even d."""
     if d % 2 == 0:
         raise ValueError("eps is defined for odd d only")
-    return _EPS[d % 4 // 2]
+    return Fraction(d % 4 // 2, 4)
 
 
 @lru_cache(maxsize=1 << 10)
 def root_values(L: int) -> tuple[complex, ...]:
-    """The complex values e(k/L) for k < L, each as RootOfUnity gives it."""
-    return tuple(RootOfUnity.from_expo(Fraction(k, L)).value for k in range(L))
+    """The complex values e(k/L) for k < L, each as root gives it."""
+    return tuple(root(Fraction(k, L)) for k in range(L))
 
 
 @dataclass(frozen=True)
@@ -160,9 +118,6 @@ class DirichletCharacter:
     modulus: int
     locals: tuple[tuple[int, int, tuple[int, ...]], ...]
 
-    def __call__(self, n: int) -> RootOfUnity:
-        return char_eval(self, n)
-
 
 def _mk_char(parts: list[tuple[int, int, tuple[int, ...]]]) -> DirichletCharacter:
     parts = sorted(parts)
@@ -206,10 +161,11 @@ def char_table(chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
     return L, tuple(table)
 
 
-def char_eval(chi: DirichletCharacter, n: int) -> RootOfUnity:
+def char_eval(chi: DirichletCharacter, n: int) -> Fraction | None:
+    """The exponent of chi(n), in [0, 1); None off the units."""
     L, e = char_table(chi)
     k = e[n % chi.modulus]
-    return _ZERO if k < 0 else RootOfUnity.from_expo(Fraction(k, L))
+    return None if k < 0 else Fraction(k, L)
 
 
 def enumerate_chars(modulus: int) -> list[DirichletCharacter]:
@@ -298,12 +254,13 @@ def _crt_unit_lift(residue: int, q: int, modulus: int) -> int:
     return (1 + rest * ((residue - 1) * inv % q)) % modulus
 
 
-def from_values(modulus: int, value_at) -> DirichletCharacter:
-    """Build the character mod `modulus` from a function giving its values.
+def from_values(modulus: int, expo_at) -> DirichletCharacter:
+    """Build the character mod `modulus` from a function giving its exponents.
 
-    value_at(x) must return a RootOfUnity for units x; it is only queried at
-    lifts of the local generators. Raises if the values are not a character
-    of this modulus (non-integral exponent on some generator).
+    expo_at(x) must return the exponent of the value at a unit x (a Fraction,
+    as char_eval gives it); it is only queried at lifts of the local
+    generators. Raises if the values are not a character of this modulus
+    (None on a unit, or a non-integral exponent on some generator).
     """
     parts = []
     for p, e in factorize(modulus):
@@ -311,10 +268,10 @@ def from_values(modulus: int, value_at) -> DirichletCharacter:
         q = p**e
         exps = []
         for g, o in zip(group.gens, group.orders):
-            r = value_at(_crt_unit_lift(g, q, modulus))
-            if r.zero:
+            expo = expo_at(_crt_unit_lift(g, q, modulus))
+            if expo is None:
                 raise ValueError("character value vanished on a unit")
-            a = r.expo * o
+            a = expo * o
             if a.denominator != 1:
                 raise ValueError("values do not define a character of this modulus")
             exps.append(int(a) % o)
@@ -325,7 +282,7 @@ def from_values(modulus: int, value_at) -> DirichletCharacter:
 def char_product(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product, as a character mod lcm of the two moduli."""
     m = math.lcm(a.modulus, b.modulus)
-    return from_values(m, lambda x: char_eval(a, x) * char_eval(b, x))
+    return from_values(m, lambda x: char_eval(a, x) + char_eval(b, x))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -426,33 +383,17 @@ def gauss_quad_closed(a: int, b: int, c: int) -> complex:
     if c % 2 == 1:
         k = inverse_mod(4 * a, c)
         phase = Fraction(-k * b * b, c)
-        return (
-            RootOfUnity.from_expo(phase).value
-            * eps(c).value
-            * kronecker(a, c)
-            * math.sqrt(c)
-        )
+        return root(phase) * root(eps(c)) * kronecker(a, c) * math.sqrt(c)
     if c % 4 == 2:
         if b % 2 == 0:
             return 0j
         c0 = c // 2
         k = inverse_mod(8 * a, c0)
         phase = Fraction(-k * b * b, c0)
-        return (
-            RootOfUnity.from_expo(phase).value
-            * eps(c0).value
-            * kronecker(2 * a, c0)
-            * math.sqrt(2 * c)
-        )
+        return root(phase) * root(eps(c0)) * kronecker(2 * a, c0) * math.sqrt(2 * c)
     if b % 2 == 1:
         return 0j
     k = inverse_mod(a, c)
     phase = Fraction(-k * b * b, 4 * c)
-    return (
-        RootOfUnity.from_expo(phase).value
-        * (eps(a) ** 3).value
-        * kronecker(c, a)
-        * (1 + 1j)
-        * math.sqrt(c)
-    )
+    return root(phase) * root(3 * eps(a)) * kronecker(c, a) * (1 + 1j) * math.sqrt(c)
 

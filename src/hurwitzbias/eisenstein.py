@@ -34,6 +34,7 @@ from .characters import (
     kronecker_character,
     primitive_chars,
     quad_decomp,
+    root,
     root_values,
     star_char,
 )
@@ -138,12 +139,11 @@ def phi2(eta: DirichletCharacter) -> complex:
         eta2 = _local_component(eta, 2)
         if eta2 == kronecker_character(8):
             return 1 + 0j
-        sign = (eps(odd_part(eta.modulus)) ** 2).value
-        return -1j * sign
+        return -1j * root(2 * eps(odd_part(eta.modulus)))
     if tilde.modulus % 2 == 0:
         n2 = p_part(eta.modulus, 2)
         eta2 = _local_component(eta, 2)
-        return 1 + char_eval(eta2, 1 + n2 // 4).value
+        return 1 + root(char_eval(eta2, 1 + n2 // 4))
     return 1 + 0j
 
 
@@ -163,8 +163,8 @@ def _char_factors(eta: DirichletCharacter) -> tuple:
         tables.append((chi.modulus, e, root_values(L)))
     return (
         *tables,
-        (eps(odd_part(eta.modulus)) ** 3).value,
-        char_eval(star, hat.modulus).value,
+        root(3 * eps(odd_part(eta.modulus))),
+        root(char_eval(star, hat.modulus)),
         phi2(eta),
         gauss_sum(star),
         phi_n,

@@ -59,11 +59,14 @@ class TraceMassTable:
         return total
 
 
-def _smallest_nonresidue(p: int) -> int:
-    for c in range(2, p):
-        if kronecker(c, p) == -1:
-            return c
-    raise ValueError(f"no quadratic non-residue mod {p}")
+def _legendre_table(p: int) -> np.ndarray:
+    """The Legendre symbols (x/p) for x < p, as floats, for an odd prime p:
+    1 on the nonzero squares, 0 at 0 and -1 elsewhere."""
+    xs = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1.0)
+    chi[xs * xs % p] = 1.0
+    chi[0] = 0.0
+    return chi
 
 
 def _twist_classes(q: int, power) -> list[tuple[int, int]]:
@@ -90,9 +93,7 @@ def _twist_classes(q: int, power) -> list[tuple[int, int]]:
 
 
 def _prime_field_tally(p: int) -> dict[int, int]:
-    chi = np.zeros(p, dtype=np.float64)
-    for x in range(1, p):
-        chi[x] = kronecker(x, p)
+    chi = _legendre_table(p)
     # shifted[y, b] = chi((y + b) mod p); counts @ shifted gives, for every b
     # at once, sum_x chi(x^3 + ax + b).  Entries are exact small integers so
     # the float matmul rounds cleanly.
@@ -114,7 +115,8 @@ def _quadratic_field_tally(p: int) -> dict[int, int]:
     # F_{p^2} = F_p[w] with w^2 = c for the smallest non-residue c; element
     # u + v*w is stored at index u + p*v.
     q = p * p
-    c = _smallest_nonresidue(p)
+    chi_p = _legendre_table(p)
+    c = int(np.argmax(chi_p < 0))  # the smallest non-residue
     idx = np.arange(q, dtype=np.int64)
     u, v = idx % p, idx // p
 
@@ -134,9 +136,6 @@ def _quadratic_field_tally(p: int) -> dict[int, int]:
     cu, cv = mul(su, sv, u, v)
     cube = cu + p * cv
     # chi(z) = chi_p(Norm z) since z^((q-1)/2) = Norm(z)^((p-1)/2).
-    chi_p = np.zeros(p, dtype=np.float64)
-    for x in range(1, p):
-        chi_p[x] = kronecker(x, p)
     chi2d = chi_p[(u * u - c * v * v) % p].reshape(p, p)
     chi_hat = np.fft.fft2(chi2d)
     disc_u, disc_v = (27 * su) % p, (27 * sv) % p

@@ -1,10 +1,16 @@
 """Self-check suites behind the `verify` subcommand.
 
-Each suite recomputes one family of identities by two independent routes
-and records every mismatch with its inputs in the report it is given.
-run_suite builds that report, times the suite and checks its runtime
-bound.  The suites double as the package's acceptance gates, so they are
-deliberately exhaustive rather than sampled, and deterministic across runs.
+Each suite checks one family of identities or stated values and records
+every mismatch with its inputs in the report it is given.  Some compare two
+routes to one quantity (closed Gauss sums against direct summation, curve
+tallies against the moment route, the closed A1 against its character sum);
+the others compare against closed forms, a table, a sign rule or a
+tolerance.  Not every pair of routes is independent: `moments` rebuilds
+moment_H from cusp_coefficient, which is itself built from moment_H, and
+both A2 routes sum the same coeff_a values.  run_suite builds the report,
+times the suite and checks its runtime bound.  The suites double as the
+package's acceptance gates, so they are deliberately exhaustive rather than
+sampled, and deterministic across runs.
 """
 
 from __future__ import annotations
@@ -180,7 +186,13 @@ def suite_schoof(rep: VerifySuiteReport) -> None:
 
 
 def suite_moments(rep: VerifySuiteReport) -> None:
-    """Higher moments rebuilt from the zeroth moment agree exactly."""
+    """moment_via_reduction equals moment_H exactly for k <= 6, M <= 6, n <= 200.
+
+    This checks the reduction coefficients and the bookkeeping of the
+    rebuild, not the moments themselves: the rebuild reads cusp_coefficient,
+    which is built from moment_H, so the identity holds whatever moment_H
+    returns.
+    """
     for k in range(7):
         for M in range(1, 7):
             for m in range(1, M + 1):

@@ -2,14 +2,22 @@
 %.12g text or within a tolerance.
 
 Reordering the sum in `A2_closed`, regrouping the float products in
-`coeff_a`, or changing how `gauss_sum` and `sigma_twisted` turn a character
-value into a complex number changes some of these hex strings, so such a
-change shows here.
+`coeff_a`, `gauss_quad_closed` or `phi2`, or changing how `gauss_sum` and
+`sigma_twisted` turn a character value into a complex number changes some
+of these hex strings, so such a change shows here.
 """
 
+import hashlib
+from collections import Counter
+
 from hurwitzbias.bias import A2_closed
-from hurwitzbias.characters import char_order, gauss_sum, primitive_chars
-from hurwitzbias.eisenstein import build_expansion, main_term, sigma_twisted
+from hurwitzbias.characters import (
+    char_order,
+    gauss_quad_closed,
+    gauss_sum,
+    primitive_chars,
+)
+from hurwitzbias.eisenstein import build_expansion, main_term, phi2, sigma_twisted
 
 A2_HEX = {
     (1, 3): "-0x1.0000000000000p-3",
@@ -208,6 +216,60 @@ SIGMA_HEX = {
     ],
 }
 
+# gauss_quad_closed(a, b, c) as (real hex, imag hex): odd c, c = 2 mod 4 and
+# 4 | c, each with gcd(a, c) = 1 and with the g > 1 reduction (b divisible by
+# g or not), plus the zero branches (b odd or even against the modulus).
+GAUSS_QUAD_HEX = {
+    (1, 0, 1): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    (1, 1, 3): ("0x1.7fffffffffffdp+0", "-0x1.bb67ae8584cb1p-1"),
+    (2, 1, 5): ("0x1.cf1bbcdcbfa56p+0", "0x1.5077c9109a7d0p+0"),
+    (3, 2, 7): ("0x1.4a2a546b589e1p+1", "0x1.2d6eae4b2d32cp-1"),
+    (1, 3, 9): ("0x1.8000000000000p+1", "0x0.0p+0"),
+    (3, 3, 9): ("0x1.1fffffffffffep+2", "-0x1.4c8dc2e423985p+1"),
+    (5, 4, 15): ("0x0.0p+0", "0x0.0p+0"),
+    (4, 1, 21): ("0x1.ac988fa87dda2p+0", "-0x1.1102db8d55a3cp+2"),
+    (1, 1, 2): ("0x1.0000000000000p+1", "0x0.0p+0"),
+    (1, 1, 6): ("0x1.8000000000000p+1", "0x1.bb67ae8584ca7p+0"),
+    (3, 5, 10): ("0x1.1e3779b97f4a8p+2", "0x0.0p+0"),
+    (5, 3, 14): ("0x1.08c5a55034425p+2", "-0x1.a64c1e13bc507p+1"),
+    (7, 1, 18): ("-0x1.68d78b1bda1d4p+2", "0x1.06abe576788fap+1"),
+    (2, 2, 6): ("0x1.7fffffffffffdp+1", "-0x1.bb67ae8584cb1p+0"),
+    (1, 0, 4): ("0x1.0000000000000p+1", "0x1.0000000000000p+1"),
+    (3, 2, 4): ("0x1.0000000000000p+1", "0x1.0000000000000p+1"),
+    (1, 2, 8): ("0x1.0000000000000p+2", "-0x1.0f876ccdf6cdap-50"),
+    (5, 6, 12): ("0x1.bb67ae8584caap+1", "-0x1.bb67ae8584caap+1"),
+    (7, 4, 16): ("0x1.0000000000000p+2", "0x1.0000000000000p+2"),
+    (9, 2, 20): ("-0x1.6f865dbe37f39p+1", "-0x1.68a772025c543p+2"),
+    (5, 10, 24): ("0x1.7fffffffffffep+2", "-0x1.bb67ae8584cb0p+1"),
+    (2, 2, 8): ("0x0.0p+0", "0x0.0p+0"),
+    (6, 6, 12): ("0x1.8000000000000p+3", "0x0.0p+0"),
+    (4, 8, 20): ("0x1.61c8864680b55p+1", "-0x1.10355070bc26fp+3"),
+    (2, 1, 4): ("0x0.0p+0", "0x0.0p+0"),
+    (1, 1, 8): ("0x0.0p+0", "0x0.0p+0"),
+}
+# sha256 of the lines "a b c real_hex imag_hex" over every a, b < c <= 24.
+GAUSS_QUAD_GRID_SHA256 = "6401162053ff802ab299907f78860ecd4461a8b2c2e5659bdd1f431a1ac8ae24"
+
+# phi2(eta) for the 757 primitive characters of conductor <= 64: sha256 of
+# the lines "modulus locals real_hex imag_hex" in primitive_chars order, and
+# how often each value occurs.
+PHI2_SHA256 = "23224e3aecb6bb087301767de302320d19422b1e01a1de51e2f25a6bbb5b09a9"
+PHI2_COUNTS = {
+    ("0x0.0p+0", "-0x1.0000000000000p+0"): 23,
+    ("0x0.0p+0", "0x1.0000000000000p+0"): 24,
+    ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"): 16,
+    ("0x1.0000000000000p+0", "0x0.0p+0"): 678,
+    ("0x1.0000000000000p+0", "0x1.0000000000000p+0"): 16,
+}
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
 
 def _pinned_chars():
     p13 = primitive_chars(13)
@@ -251,3 +313,24 @@ def test_sigma_twisted_bits():
             s = sigma_twisted(chi, n)
             got.append((s.real.hex(), s.imag.hex()))
         assert got == SIGMA_HEX[key], key
+
+
+def test_gauss_quad_closed_bits():
+    got = {key: _hex(gauss_quad_closed(*key)) for key in GAUSS_QUAD_HEX}
+    assert got == GAUSS_QUAD_HEX
+    lines = [
+        " ".join((str(a), str(b), str(c), *_hex(gauss_quad_closed(a, b, c))))
+        for c in range(1, 25)
+        for a in range(c)
+        for b in range(c)
+    ]
+    assert _sha256(lines) == GAUSS_QUAD_GRID_SHA256
+
+
+def test_phi2_bits():
+    values = [
+        (chi, _hex(phi2(chi))) for n in range(1, 65) for chi in primitive_chars(n)
+    ]
+    assert Counter(v for _, v in values) == PHI2_COUNTS
+    lines = [f"{chi.modulus} {chi.locals} {re} {im}" for chi, (re, im) in values]
+    assert _sha256(lines) == PHI2_SHA256

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hurwitzbias.arith import euler_phi, kronecker
 from hurwitzbias.characters import (
-    RootOfUnity,
     char_eval,
     char_table,
     char_order,
@@ -28,6 +27,7 @@ from hurwitzbias.characters import (
     quad_decomp,
     local_unit_group,
     real_primitive_chars,
+    root,
     root_values,
     star_char,
 )
@@ -55,7 +55,7 @@ def brute_conductor(chi):
         if m % n:
             continue
         if all(
-            char_eval(chi, x).is_one
+            char_eval(chi, x) == 0
             for x in range(1, m + 1)
             if math.gcd(x, m) == 1 and x % n == 1 % n
         ):
@@ -64,36 +64,38 @@ def brute_conductor(chi):
 
 
 def test_root_of_unity_exact_values():
-    assert RootOfUnity.one().value == 1
-    assert RootOfUnity.from_expo(Fraction(1, 2)).value == -1
-    assert RootOfUnity.from_expo(Fraction(1, 4)).value == 1j
-    assert RootOfUnity.from_expo(Fraction(3, 4)).value == -1j
-    assert RootOfUnity.zero_value().value == 0
-    r = RootOfUnity.from_expo(Fraction(1, 3))
-    assert abs(r.value - cmath.exp(2j * cmath.pi / 3)) < 1e-15
-    assert (r * r * r).is_one
-    assert abs(r.conj().value - r.value.conjugate()) < 1e-15
+    assert root(Fraction(0)) == 1
+    assert root(Fraction(1, 2)) == -1
+    assert root(Fraction(1, 4)) == 1j
+    assert root(Fraction(3, 4)) == -1j
+    assert root(None) == 0
+    # exponents are read mod 1
+    assert root(Fraction(5, 4)) == 1j
+    assert root(Fraction(-1, 4)) == -1j
+    assert root(Fraction(7)) == 1
+    r = Fraction(1, 3)
+    assert abs(root(r) - cmath.exp(2j * cmath.pi / 3)) < 1e-15
+    assert root(r + r + r) == 1
+    assert abs(root(-r) - root(r).conjugate()) < 1e-15
 
 
 def test_eps_values():
     i = eps(3)
-    assert (i * i).value == -1
-    assert (i**3).value == -1j
-    assert (i**4).value == 1
-    assert eps(1).value == 1
-    assert eps(3).value == 1j
-    assert eps(7).value == 1j
-    assert eps(13).value == 1
-    assert eps(-1).value == 1j
-    # two shared values, not one object per call
-    assert eps(7) is eps(3) and eps(13) is eps(1)
+    assert root(2 * i) == -1
+    assert root(3 * i) == -1j
+    assert root(4 * i) == 1
+    assert eps(1) == 0 and root(eps(1)) == 1
+    assert eps(3) == Fraction(1, 4) and root(eps(3)) == 1j
+    assert eps(7) == Fraction(1, 4) and root(eps(7)) == 1j
+    assert eps(13) == 0 and root(eps(13)) == 1
+    assert eps(-1) == Fraction(1, 4) and root(eps(-1)) == 1j
     with pytest.raises(ValueError):
         eps(4)
 
 
 def test_eps_squared_is_sign():
     for d in range(1, 50, 2):
-        assert (eps(d) ** 2).value == kronecker(-1, d)
+        assert root(2 * eps(d)) == kronecker(-1, d)
 
 
 def digitwise_expo(chi, x):
@@ -115,9 +117,7 @@ def test_char_eval_matches_digitwise_sum():
     for m in range(1, 151):
         for chi in enumerate_chars(m):
             for x in range(-1, m + 1):
-                value = char_eval(chi, x)
-                got = None if value.zero else value.expo
-                assert got == digitwise_expo(chi, x % m), (chi, x)
+                assert char_eval(chi, x) == digitwise_expo(chi, x % m), (chi, x)
 
 
 def test_char_table_shape():
@@ -130,13 +130,33 @@ def test_char_table_shape():
     assert char_table(principal_character(1)) == (1, (0,))
 
 
+def reference_root(k, L):
+    """e(k/L) written out apart from root: exact at reduced denominators 1, 2
+    and 4, otherwise cmath.exp of 2 pi i num/den on the fraction reduced to
+    [0, 1). The main-term bit pins hold only while root_values gives these
+    bits."""
+    g = math.gcd(k, L)
+    num, den = k // g % (L // g), L // g
+    if den == 1:
+        return 1 + 0j
+    if den == 2:
+        return -1 + 0j
+    if den == 4:
+        return 1j if num % 4 == 1 else -1j
+    return cmath.exp(2.0 * math.pi * 1j * num / den)
+
+
 def test_root_values_bits():
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
     for L in range(1, 241):
         roots = root_values(L)
         assert len(roots) == L
         for k, z in enumerate(roots):
-            w = RootOfUnity.from_expo(Fraction(k, L)).value
-            assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex()), (k, L)
+            w = reference_root(k, L)
+            assert bits(z) == bits(w), (k, L)
+            assert bits(root(Fraction(k + 3 * L, L))) == bits(w), (k, L)
 
 
 def test_character_counts():
@@ -160,15 +180,15 @@ def test_conductor_matches_bruteforce():
 @given(st.integers(1, 48), st.integers(-100, 100), st.integers(-100, 100))
 def test_characters_are_multiplicative(m, x, y):
     for chi in enumerate_chars(m):
-        lhs = char_eval(chi, x * y)
-        rhs = char_eval(chi, x) * char_eval(chi, y)
-        assert lhs == rhs
+        a, b = char_eval(chi, x), char_eval(chi, y)
+        rhs = None if a is None or b is None else (a + b) % 1
+        assert char_eval(chi, x * y) == rhs
 
 
 def test_orthogonality():
     for m in (3, 4, 5, 8, 12, 15):
         for chi in enumerate_chars(m):
-            total = sum(char_eval(chi, x).value for x in range(m))
+            total = sum(root(char_eval(chi, x)) for x in range(m))
             if char_order(chi) == 1:
                 assert abs(total - euler_phi(m)) < 1e-12
             else:
@@ -176,7 +196,7 @@ def test_orthogonality():
         for x in range(2, m):
             if math.gcd(x, m) != 1:
                 continue
-            total = sum(char_eval(chi, x).value for chi in enumerate_chars(m))
+            total = sum(root(char_eval(chi, x)) for chi in enumerate_chars(m))
             expect = euler_phi(m) if x % m == 1 else 0
             assert abs(total - expect) < 1e-12
 
@@ -186,6 +206,13 @@ def test_from_values_roundtrip():
         for chi in enumerate_chars(m):
             rebuilt = from_values(m, lambda x, c=chi: char_eval(c, x))
             assert rebuilt == chi
+
+
+def test_from_values_rejects():
+    # a vanishing value on a unit, and an exponent of order 8 mod 5
+    for expo in (None, Fraction(1, 8)):
+        with pytest.raises(ValueError):
+            from_values(5, lambda x, v=expo: v)
 
 
 def test_induction_roundtrip():
@@ -210,7 +237,8 @@ def test_char_product_pointwise():
                 assert prod.modulus == lcm
                 for x in range(lcm):
                     if math.gcd(x, lcm) == 1:
-                        assert char_eval(prod, x) == char_eval(c1, x) * char_eval(c2, x)
+                        expo = (char_eval(c1, x) + char_eval(c2, x)) % 1
+                        assert char_eval(prod, x) == expo
 
 
 def test_kronecker_character_values():
@@ -221,7 +249,7 @@ def test_kronecker_character_values():
         step = 2 * bottom
         for x in range(1, 200):
             if math.gcd(x, step) == 1:
-                assert char_eval(chi, x).value == kronecker(x, bottom)
+                assert root(char_eval(chi, x)) == kronecker(x, bottom)
 
 
 def test_quad_decomp_structure():
@@ -241,7 +269,7 @@ def test_quad_decomp_structure():
 
 
 def test_quad_decomp_examples():
-    (eta4,) = [c for c in primitive_chars(5) if char_order(c) == 4 and char_eval(c, 2).value == 1j]
+    (eta4,) = [c for c in primitive_chars(5) if char_order(c) == 4 and char_eval(c, 2) == Fraction(1, 4)]
     hat, tilde = quad_decomp(eta4)
     assert hat.modulus == 1 and tilde == eta4
     (leg5,) = [c for c in primitive_chars(5) if char_order(c) == 2]
@@ -295,8 +323,8 @@ def test_gauss_sum_magnitude_and_conjugate():
         for chi in primitive_chars(n):
             g = gauss_sum(chi)
             assert abs(abs(g) - math.sqrt(n)) < 1e-10
-            conj_chi = from_values(n, lambda x, c=chi: char_eval(c, x).conj())
-            sign = char_eval(chi, n - 1).value
+            conj_chi = from_values(n, lambda x, c=chi: -char_eval(c, x))
+            sign = root(char_eval(chi, n - 1))
             assert abs(gauss_sum(conj_chi) - sign * g.conjugate()) < 1e-10
 
 

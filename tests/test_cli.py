@@ -151,6 +151,9 @@ def test_flag_errors_exit_two(capsys):
              "error: no prime p <= 2 is coprime to M = 2\n"),
             (("empirical", "--m", "1", "--M", "6", "--X", "3"),
              "error: no prime p <= 3 is coprime to M = 6\n"),
+            # a prime sieve to X = 10^10 would need about 10 GB
+            (("empirical", "--m", "1", "--M", "3", "--X", "10000000000"),
+             "error: X = 10000000000 exceeds the prime-sieve cap 100000000\n"),
             (("trace-moment", "--k", "0", "--m", "1", "--M", "0", "--p", "5",
               "--r", "1"), "error: M must be >= 1\n"),
             (("trace-moment", "--k", "0", "--m", "1", "--M", "-3", "--p", "5",
