@@ -8,6 +8,13 @@ The traces for a given a over all b depend only on the class of a in
 F_q^*/(F_q^*)^4, so the kernels count points for a = 0 and one a per class
 (at most five rows) and weight each class row by its size; every b is still
 counted point by point, without class numbers.
+
+S_via_moments rebuilds the same trace moments from class numbers alone,
+through the bridge of Deuring and Schoof (Nonsingular plane cubic curves
+over finite fields, 1987): the weighted number of curves over F_p with
+trace t is H(4p - t^2)/2.  Over F_{p^2} the traces t = ps need one
+correction: p^(k+1) times the moment of H(4 - s^2) over s = m/p (mod M) is
+taken off the moment of H(4p^2 - t^2).
 """
 
 import math
@@ -17,10 +24,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import factorize, is_prime, kronecker
-from .bias import delta_star, delta_star_sq, leading_sum
-from .eisenstein import cusp_residual_0
-from .hurwitz import cusp_coefficient, hurwitz_H, moment_H
+from .arith import factorize, is_prime
+from .hurwitz import moment_H
 
 _Q_CAP = 20_000
 # _prime_field_tally holds two p x p arrays of 8-byte entries at once (the
@@ -191,7 +196,8 @@ def S_direct(k: int, m: int, M: int, q: int) -> Fraction:
     return trace_mass_table(q).moment(k, m, M)
 
 
-def _check_bridge_args(p: int, M: int, r: int) -> None:
+def S_via_moments(k: int, m: int, M: int, p: int, r: int) -> Fraction:
+    """Trace moment computed from class-number moments alone."""
     if M < 1:
         raise ValueError("M must be >= 1")
     if p < 5 or not is_prime(p):
@@ -200,135 +206,8 @@ def _check_bridge_args(p: int, M: int, r: int) -> None:
         raise ValueError("p must not divide M")
     if r < 1:
         raise ValueError("r must be >= 1")
-
-
-def S_via_moments(k: int, m: int, M: int, p: int, r: int) -> Fraction:
-    """Trace moment computed from class-number moments alone."""
-    _check_bridge_args(p, M, r)
     total = moment_H(k, m, M, p**r)
     if r >= 2:
         pbar = pow(p, -1, M) if M > 1 else 0
         total -= p ** (k + 1) * moment_H(k, (m * pbar) % M, M, p ** (r - 2))
     return total / 2
-
-
-def tilde_moment(k: int, m: int, M: int, p: int, r: int) -> Fraction:
-    """Class-number moment with the traces divisible by p left out."""
-    _check_bridge_args(p, M, r)
-    n = p**r
-    tmax = math.isqrt(4 * n)
-    total = Fraction(0)
-    for t in range(-tmax + (m + tmax) % M, tmax + 1, M):
-        if t % p != 0:
-            total += t**k * hurwitz_H(4 * n - t * t)
-    return total
-
-
-def rho(k: int, m: int, M: int, n: int) -> int:
-    """Signed count of square roots t of n with t = m (mod M)."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1 if m % M == 0 and k == 0 else 0
-    s = math.isqrt(n)
-    if s * s != n:
-        return 0
-    out = 0
-    if (s - m) % M == 0:
-        out += 1
-    if (-s - m) % M == 0:
-        out += (-1) ** k
-    return out
-
-
-def error_E(k: int, m: int, M: int, p: int, r: int) -> Fraction:
-    """Correction restoring the p | t traces dropped by tilde_moment.
-
-    The indicator on the first two terms reads "trace zero occurs in the
-    class", i.e. M | m; the exact identity tests pin this reading.
-    """
-    _check_bridge_args(p, M, r)
-    out = Fraction(0)
-    if m % M == 0 and k == 0:
-        if r % 2:
-            out += hurwitz_H(4 * p)
-        else:
-            out += Fraction(1 - kronecker(-1, p), 2)
-    r1 = rho(k, m, M, p**r)
-    if r1:
-        out += Fraction(1 - kronecker(-3, p), 3) * p ** (r * k // 2) * r1
-    r2 = rho(k, m, M, 4 * p**r)
-    if r2:
-        out += Fraction(2**k * (p - 1), 12) * p ** (r * k // 2) * r2
-    return out
-
-
-@dataclass(frozen=True)
-class ExpansionTerms:
-    """Twice the second trace moment, regrouped exactly by powers of p.
-
-    leading multiplies p^(2r); cusp holds the two cusp-form contributions
-    evaluated at n = p^r; lower lists the remaining (power, coefficient)
-    pairs; remainder is the trailing constant.  total() rebuilds 2*S.
-    """
-
-    m: int
-    M: int
-    p: int
-    r: int
-    leading: float
-    cusp: float
-    lower: tuple[tuple[int, float], ...]
-    remainder: float
-    delta_star: int
-
-    def total(self) -> float:
-        out = self.leading * float(self.p) ** (2 * self.r)
-        out += self.cusp + self.remainder
-        for power, coeff in self.lower:
-            out += coeff * float(self.p) ** power
-        return out
-
-
-def expansion_p(m: int, M: int, p: int) -> ExpansionTerms:
-    """Size-graded pieces of 2*S_2(p), exact including the remainder."""
-    _check_bridge_args(p, M, 1)
-    lead = leading_sum(m, M, p, 1)
-    ds = delta_star(p % M if M > 1 else 0, m, M)
-    cusp = cusp_residual_0(m, M, p) * p + float(cusp_coefficient(2, m, M, p))
-    return ExpansionTerms(
-        m=m,
-        M=M,
-        p=p,
-        r=1,
-        leading=lead,
-        cusp=cusp,
-        lower=((1, lead - ds),),
-        remainder=float(-ds),
-        delta_star=ds,
-    )
-
-
-def expansion_p2(m: int, M: int, p: int) -> ExpansionTerms:
-    """Size-graded pieces of 2*S_2(p^2), exact including the remainder."""
-    _check_bridge_args(p, M, 2)
-    x = p % M if M > 1 else 0
-    lead = leading_sum(m, M, p, 2)
-    ds2 = delta_star_sq(x, m, M)
-    pbar = pow(p, -1, M) if M > 1 else 0
-    h2 = float(moment_H(2, (m * pbar) % M, M, 1))
-    # the (1, p^2) divisor pair contributes through t = p^2 + 1
-    dsq = int((p * p + 1 - m) % M == 0) + int((p * p + 1 + m) % M == 0)
-    n = p * p
-    cusp = cusp_residual_0(m, M, n) * n + float(cusp_coefficient(2, m, M, n))
-    return ExpansionTerms(
-        m=m,
-        M=M,
-        p=p,
-        r=2,
-        leading=lead,
-        cusp=cusp,
-        lower=((3, lead - ds2 - h2), (2, lead - dsq)),
-        remainder=float(-dsq),
-        delta_star=ds2,
-    )

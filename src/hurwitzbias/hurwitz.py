@@ -22,6 +22,8 @@ import numpy as np
 from .arith import catalan_ext
 
 _TABLE_HARD_LIMIT = 50_000_000
+# lambda_moment scans every u <= sqrt(n): about 0.2 s at n = 10^13
+_LAMBDA_N_CAP = 10**14
 # width of the rows a periodic pattern is added in, tiled up to it; of 64 ..
 # 65536 it was the fastest for tables of 10^6 to 4*10^6 on a 2-core machine
 _ROW = 4096
@@ -176,6 +178,9 @@ def hurwitz_H(d: int) -> Fraction:
         return _table.value(d)
     if d <= 200_000:
         return ensure_table(max(d, 50_000)).value(d)
+    if d > _TABLE_HARD_LIMIT:
+        # hurwitz_direct takes about 2 s at the limit and grows like d
+        raise ValueError(f"d = {d} exceeds the class-number cap {_TABLE_HARD_LIMIT}")
     return hurwitz_direct(d)
 
 
@@ -198,6 +203,8 @@ def lambda_moment(k: int, m: int, M: int, n: int) -> Fraction:
     u + v = +-m (mod M); the sign branch carries (-1)^k and u = v counts half."""
     if k < 0 or M < 1 or n < 1:
         raise ValueError("lambda_moment requires k >= 0, M >= 1, n >= 1")
+    if n > _LAMBDA_N_CAP:
+        raise ValueError(f"n = {n} exceeds the divisor-scan cap {_LAMBDA_N_CAP}")
     twice = 0  # twice the sum, so that u = v counts 1 and every other u counts 2
     sign = -1 if k % 2 else 1
     for u in range(1, math.isqrt(n) + 1):

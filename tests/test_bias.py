@@ -17,15 +17,33 @@ from hurwitzbias.bias import (
     density_scan,
     empirical_A1,
     epsilon_mM,
+    leading_sum,
     sign_rules,
 )
+from hurwitzbias.eisenstein import main_term
 from hurwitzbias.hurwitz import moment_H
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_main_term_at_p_and_p2_is_the_leading_sum(p):
+    # The leading block of the trace moment: at n = p and n = p^2 the main
+    # term is the leading-coefficient average times sigma(n).
+    for M in range(1, 13):
+        if M % p == 0:
+            continue
+        for m in range(1, M + 1):
+            assert main_term(m, M, p) == pytest.approx(
+                (p + 1) * leading_sum(m, M, p, 1), rel=1e-12, abs=1e-12), (m, M)
+            assert main_term(m, M, p * p) == pytest.approx(
+                (p * p + p + 1) * leading_sum(m, M, p, 2), rel=1e-12, abs=1e-12), (m, M)
 
 
 def test_boundary_indicators():
     assert delta_star(1, 1, 3) == 1
     assert delta_star(3, 0, 4) == 2
     assert delta_star(1, 3, 4) == 0
+    # with no congruence condition (M = 1) both slots always fire
+    assert delta_star(0, 1, 1) == 2
     assert delta_star_sq(1, 2, 4) == 2
     assert delta_star_sq(3, 1, 5) == 1
     assert delta_star_sq(1, 1, 5) == 0

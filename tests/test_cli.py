@@ -162,7 +162,15 @@ def test_flag_errors_exit_two(capsys):
             (("bias", "a1", "--m", "0", "--M", "5"),
              "error: the residue m = 0 is excluded\n"),
             (("bias", "a1", "--m", "0", "--M", "5", "--route", "chars"),
-             "error: the residue m = 0 is excluded\n")):
+             "error: the residue m = 0 is excluded\n"),
+            # past these caps the direct form enumeration would run for
+            # hours and the divisor scan for about a minute
+            (("hurwitz", "10000000000003"),
+             "error: d = 10000000000003 exceeds the class-number cap 50000000\n"),
+            (("lambda", "--k", "0", "--m", "1", "--M", "3", "--n",
+              "1000000000000000000"),
+             "error: n = 1000000000000000000 exceeds the divisor-scan cap "
+             "100000000000000\n")):
         assert run(capsys, *argv) == (2, "", err), argv
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hurwitzbias import eisenstein
 from hurwitzbias.arith import divisors, euler_phi, factorize, ord_p
 from hurwitzbias.characters import (
     char_order,
@@ -15,6 +16,7 @@ from hurwitzbias.characters import (
     real_primitive_chars,
 )
 from hurwitzbias.eisenstein import (
+    MainTermExpansion,
     S_set,
     build_expansion,
     coeff_a,
@@ -249,6 +251,24 @@ def test_main_term_is_real_on_wide_grid():
             for m in range(1, M + 1):
                 for n in range(1, n_max + 1):
                     main_term(m, M, n)
+
+
+def test_main_term_stays_real_at_large_n(monkeypatch):
+    # The rounding left in the imaginary part grows with the value: here it
+    # is 1.2e-9, above an absolute 1e-9 but only 6.4e-17 of the main term.
+    assert main_term(1, 3, 10**7) == 18676710
+    # moment_H(0, 1, 3, 10^7) as the 4*10^7 class-number sieve gives it; the
+    # sieve takes about 45 s and 450 MB on a 2-core machine, so it is pinned.
+    pinned = {(0, 1, 3, 10**7): Fraction(18660630)}
+    monkeypatch.setattr(eisenstein, "moment_H", lambda *args: pinned[args])
+    assert cusp_residual_0(1, 3, 10**7) == 0.0  # (1, 3) is a zero class
+
+
+def test_non_real_main_term_raises_at_every_size():
+    skew = MainTermExpansion(1, 1, Fraction(1), ((TRIV, 1, 1 + 1e-6j),))
+    for n in (1, 10**7):
+        with pytest.raises(ArithmeticError, match="off the real axis"):
+            skew.evaluate(n)
 
 
 def test_progression_sum_collapses_to_full_interval():

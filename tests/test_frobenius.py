@@ -6,21 +6,60 @@ from fractions import Fraction
 import pytest
 
 from hurwitzbias import frobenius
-from hurwitzbias.arith import primes_upto
-from hurwitzbias.frobenius import (
-    ExpansionTerms,
-    S_direct,
-    S_via_moments,
-    error_E,
-    expansion_p,
-    expansion_p2,
-    rho,
-    tilde_moment,
-    trace_mass_table,
-)
+from hurwitzbias.arith import kronecker, primes_upto
+from hurwitzbias.frobenius import S_direct, S_via_moments, trace_mass_table
 from hurwitzbias.hurwitz import hurwitz_H, moment_H
 
 FIELD_SIZES = (5, 7, 11, 13, 25, 49, 121)
+
+
+def tilde_moment(k, m, M, p, r):
+    """Class-number moment with the traces divisible by p left out."""
+    n = p**r
+    tmax = math.isqrt(4 * n)
+    total = Fraction(0)
+    for t in range(-tmax + (m + tmax) % M, tmax + 1, M):
+        if t % p != 0:
+            total += t**k * hurwitz_H(4 * n - t * t)
+    return total
+
+
+def rho(k, m, M, n):
+    """Signed count of square roots t of n with t = m (mod M)."""
+    if n < 0:
+        return 0
+    if n == 0:
+        return 1 if m % M == 0 and k == 0 else 0
+    s = math.isqrt(n)
+    if s * s != n:
+        return 0
+    out = 0
+    if (s - m) % M == 0:
+        out += 1
+    if (-s - m) % M == 0:
+        out += (-1) ** k
+    return out
+
+
+def error_E(k, m, M, p, r):
+    """Correction restoring the p | t traces dropped by tilde_moment.
+
+    The indicator on the first two terms reads "trace zero occurs in the
+    class", i.e. M | m; the exact identity tests pin this reading.
+    """
+    out = Fraction(0)
+    if m % M == 0 and k == 0:
+        if r % 2:
+            out += hurwitz_H(4 * p)
+        else:
+            out += Fraction(1 - kronecker(-1, p), 2)
+    r1 = rho(k, m, M, p**r)
+    if r1:
+        out += Fraction(1 - kronecker(-3, p), 3) * p ** (r * k // 2) * r1
+    r2 = rho(k, m, M, 4 * p**r)
+    if r2:
+        out += Fraction(2**k * (p - 1), 12) * p ** (r * k // 2) * r2
+    return out
 
 
 def test_total_mass_is_field_size():
@@ -124,36 +163,6 @@ def test_restricted_moment_plus_error(p, r):
                 assert lhs == rhs, (k, m, M, p, r)
 
 
-def test_expansion_recombines_prime_case():
-    # residue classes are written 1..M on the expansion side
-    for p in (5, 7, 11, 13):
-        for M in (1, 2, 3, 4, 5, 6, 8):
-            if M % p == 0:
-                continue
-            for m in range(1, M + 1):
-                terms = expansion_p(m, M, p)
-                target = 2 * float(S_via_moments(2, m, M, p, 1))
-                assert terms.total() == pytest.approx(target, abs=1e-6)
-
-
-def test_expansion_recombines_prime_square_case():
-    for p in (5, 7, 11):
-        for M in (1, 2, 3, 4, 6):
-            if M % p == 0:
-                continue
-            for m in range(1, M + 1):
-                terms = expansion_p2(m, M, p)
-                target = 2 * float(S_via_moments(2, m, M, p, 2))
-                assert terms.total() == pytest.approx(target, rel=1e-9, abs=1e-5)
-
-
-def test_expansion_trivial_modulus_slots():
-    # with no congruence condition both indicator slots always fire
-    terms = expansion_p(1, 1, 7)
-    assert terms.delta_star == 2
-    assert terms.remainder == -2
-
-
 def test_twist_class_rows_match_every_a(monkeypatch):
     # One weighted row per quartic-twist class must tally exactly what the
     # full enumeration, one row of weight 1 for every a in F_q, tallies.
@@ -179,6 +188,10 @@ def test_argument_validation():
         S_via_moments(0, 1, 5, 5, 1)
     with pytest.raises(ValueError):
         S_via_moments(0, 1, 3, 4, 1)
+    with pytest.raises(ValueError, match="p must be a prime >= 5"):
+        S_via_moments(0, 1, 3, 9, 1)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        S_via_moments(0, 1, 3, 5, 0)
     with pytest.raises(ValueError):
         S_direct(0, 1, 0, 5)
 
