@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .arith import euler_phi, factorize, odd_part, primes_upto
-from .characters import char_table, real_primitive_chars, root_values
-from .eisenstein import IM_TOL, coeff_a, in_S, leading_coefficients, prefactor, reduce_residue
+from .arith import euler_phi, factorize, odd_part, ord_p, primes_upto
+from .characters import char_table, root_values
+from .eisenstein import IM_TOL, leading_coefficients, reduce_residue
 from .hurwitz import moment_H
 
 # empirical_A1 sieves every integer up to X in memory: about 100 MB of bytes
@@ -40,8 +40,8 @@ def delta_star_sq(x: int, m: int, M: int) -> int:
 def leading_sum(m: int, M: int, x: int, power: int = 1) -> float:
     """Real part of the leading-coefficient average at residue x.
 
-    Sums prefactor * coeff_a(eta, 1) * eta(x)^power over the participating
-    characters; the imaginary parts must cancel.
+    Sums each participating character's leading_coefficients weight times
+    eta(x)^power; the imaginary parts must cancel.
     """
     total = 0j
     for eta, coeff in leading_coefficients(m, M):
@@ -118,23 +118,35 @@ def epsilon_mM(m: int, M: int) -> Fraction:
 
 
 def A2_closed(m: int, M: int) -> float:
-    """Closed form of the F_{p^2} bias average.
+    """Closed form of the F_{p^2} bias average, exact up to one rounding.
 
-    Orthogonality kills every non-real character in the residue average, so
-    the first block is phi(M) * prefactor * sum of the real-character
-    leading coefficients. The sum runs over the cached real primitive
-    characters of M that admit d = 1, in S_set's order.
+    A2(m, M) = prod_{p^a || M} f_{p^a}(m) + epsilon_mM(m, M) / (2 phi(M)),
+    summed in Fractions and rounded once.  For odd p, with c = chi_{-4}(p),
+    f_{p^a}(m) * p^(a-1) is (p - 1 - c)/((p - 1)(p - c)) if p !| m and
+    1/(p - c) if p | m.  For p = 2 it is 1/3 or 2/3 (m odd or even) at
+    a = 1, and 1/6, 5/12 or 1/4 (v_2(m) = 0, 1 or >= 2) over 2^(a-2) at
+    a >= 2.
+
+    The factors were fitted to the real-character part of the character sum,
+    half the sum of the leading_coefficients weights of the real characters,
+    which is multiplicative in M; they are not derived from the paper's
+    proof.  The bias-routes verify suite checks them against the character
+    sum A2_chars to 1e-12 on every class with 3 <= M <= 60.
     """
     if M < 3:
         raise ValueError("M must be >= 3")
-    total = 0j
-    for eta in real_primitive_chars(M):
-        if in_S(eta, m, M, 1):
-            total += coeff_a(eta, 1, m, M)
-    if abs(total.imag) >= IM_TOL:
-        raise ArithmeticError(f"real-character block came out complex: {total!r}")
-    first = euler_phi(M) * float(prefactor(M)) * total.real
-    return (first + float(epsilon_mM(m, M))) / (2 * euler_phi(M))
+    m = reduce_residue(m, M)
+    block = Fraction(1)
+    for p, a in factorize(M):
+        if p == 2 and a == 1:
+            block *= Fraction(2 - m % 2, 3)
+        elif p == 2:
+            block *= Fraction((2, 5, 3)[min(ord_p(m, 2), 2)], 3 * 2**a)
+        else:
+            c = 1 if p % 4 == 1 else -1
+            num = p - 1 - c if m % p else p - 1
+            block *= Fraction(num, (p - 1) * (p - c) * p ** (a - 1))
+    return float(block + epsilon_mM(m, M) / (2 * euler_phi(M)))
 
 
 def A2_chars(m: int, M: int) -> float:

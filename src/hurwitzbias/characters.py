@@ -20,9 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .arith import divisors, factorize, inverse_mod, kronecker, ord_p
+from .arith import factorize, inverse_mod, kronecker, ord_p
 
 TWO_PI = 2.0 * math.pi
+
+# The sums over every character of every divisor of M cost about M^2: past
+# this cap one main term or character-route bias would run for minutes.
+_CHAR_CAP = 5000
 
 
 def root(expo: Fraction | None) -> complex:
@@ -170,6 +174,9 @@ def char_eval(chi: DirichletCharacter, n: int) -> Fraction | None:
 
 def enumerate_chars(modulus: int) -> list[DirichletCharacter]:
     """All characters mod `modulus` in a deterministic order (principal first)."""
+    if modulus > _CHAR_CAP:
+        raise ValueError(
+            f"modulus {modulus} exceeds the character-enumeration cap {_CHAR_CAP}")
     groups = [(p, e, local_unit_group(p, e)) for p, e in factorize(modulus)]
     ranges = []
     for _, _, group in groups:
@@ -230,19 +237,6 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 @lru_cache(maxsize=1 << 12)
 def primitive_chars(modulus: int) -> tuple[DirichletCharacter, ...]:
     return tuple(chi for chi in enumerate_chars(modulus) if is_primitive(chi))
-
-
-@lru_cache(maxsize=1 << 12)
-def real_primitive_chars(modulus: int) -> tuple[DirichletCharacter, ...]:
-    """The real primitive characters with conductor dividing `modulus`.
-
-    Ordered by conductor, then as in primitive_chars, so that sums over
-    them add their terms in the same order as sums over every primitive
-    character that skip the non-real ones.
-    """
-    return tuple(
-        chi for n in divisors(modulus) for chi in primitive_chars(n) if is_real(chi)
-    )
 
 
 def _crt_unit_lift(residue: int, q: int, modulus: int) -> int:

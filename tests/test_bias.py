@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzbias.arith import factorize
+from hurwitzbias.arith import factorize, primes_upto
 from hurwitzbias.bias import (
     A1_chars,
     A1_closed,
@@ -79,6 +79,17 @@ def test_second_moment_average_oracles():
     assert abs(A2_closed(5, 5) - 0.25) < 1e-12
     assert A2_closed(3, 3) > 0
     assert A2_closed(1, 5) < 0
+    # at a prime modulus, with c = chi_{-4}(p): the unit class and the zero class
+    for p in [*primes_upto(1000)[1:], 100003, 1000003]:
+        c = 1 if p % 4 == 1 else -1
+        assert A2_closed(1, p) == float(Fraction(-1, (p - 1) * (p - c))), p
+        assert A2_closed(p, p) == float(Fraction(1, p - c)), p
+    # A2 vanishes exactly on the odd classes mod a power of two M >= 4
+    for a in range(2, 8):
+        for m in range(1, 2**a, 2):
+            assert A2_closed(m, 2**a) == 0.0, (m, a)
+            if a <= 5:
+                assert abs(A2_chars(m, 2**a)) < 1e-12, (m, a)
     with pytest.raises(ValueError):
         A2_closed(1, 2)
     with pytest.raises(ValueError):
@@ -88,7 +99,7 @@ def test_second_moment_average_oracles():
 def test_second_moment_routes_agree():
     for M in range(3, 11):
         for m in range(1, M + 1):
-            assert abs(A2_chars(m, M) - A2_closed(m, M)) < 1e-9, (m, M)
+            assert abs(A2_chars(m, M) - A2_closed(m, M)) < 1e-12, (m, M)
 
 
 def test_constant_block_matches_indicator_average():
@@ -122,7 +133,7 @@ def test_sign_rules_match_computed_values():
                     got = 0 if value == 0 else (1 if value > 0 else -1)
                 else:
                     value = A2_closed(m, M)
-                    assert abs(value) > 1e-9
+                    assert value != 0
                     got = 1 if value > 0 else -1
                 assert got == rule.sign, (m, M, rule)
 

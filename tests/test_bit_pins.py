@@ -1,14 +1,16 @@
 """Bit-exact pins of float outputs that otherwise are only compared as
 %.12g text or within a tolerance.
 
-Reordering the sum in `A2_closed`, regrouping the float products in
-`coeff_a`, `gauss_quad_closed` or `phi2`, or changing how `gauss_sum` and
-`sigma_twisted` turn a character value into a complex number changes some
-of these hex strings, so such a change shows here.
+Regrouping the float products in `coeff_a`, `gauss_quad_closed` or `phi2`,
+or changing how `gauss_sum` and `sigma_twisted` turn a character value into
+a complex number changes some of these hex strings, so such a change shows
+here.  `A2_closed` rounds an exact rational once, so it is pinned to the
+correctly rounded float of that rational instead.
 """
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 from hurwitzbias.bias import A2_closed
 from hurwitzbias.characters import (
@@ -19,12 +21,12 @@ from hurwitzbias.characters import (
 )
 from hurwitzbias.eisenstein import build_expansion, main_term, phi2, sigma_twisted
 
-A2_HEX = {
-    (1, 3): "-0x1.0000000000000p-3",
-    (5, 5): "0x1.0000000000000p-2",
-    (2, 15): "-0x1.c000000000000p-5",
-    (7, 30): "-0x1.2aaaaaaaaaaaap-6",
-    (1, 119): "-0x1.eaaaaaaaaaaabp-10",
+A2_EXACT = {
+    (1, 3): Fraction(-1, 8),
+    (5, 5): Fraction(1, 4),
+    (2, 15): Fraction(-7, 128),
+    (7, 30): Fraction(-7, 384),
+    (1, 119): Fraction(-23, 12288),
 }
 
 MAIN_TERM_HEX = {
@@ -280,8 +282,8 @@ def _pinned_chars():
 
 
 def test_A2_closed_bits():
-    got = {key: A2_closed(*key).hex() for key in A2_HEX}
-    assert got == A2_HEX
+    for (m, M), value in A2_EXACT.items():
+        assert A2_closed(m, M) == float(value), (m, M)
 
 
 def test_main_term_bits():

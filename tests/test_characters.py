@@ -26,7 +26,6 @@ from hurwitzbias.characters import (
     principal_character,
     quad_decomp,
     local_unit_group,
-    real_primitive_chars,
     root,
     root_values,
     star_char,
@@ -348,28 +347,3 @@ def test_gauss_quad_closed_matches_direct_sample():
 def test_kronecker_character_rejects():
     with pytest.raises(ValueError):
         kronecker_character(0)
-
-
-def _squarefree(n):
-    return all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
-
-
-def _is_fundamental(D):
-    if D == 1:
-        return True
-    if D % 4 == 1:
-        return _squarefree(abs(D))
-    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and _squarefree(abs(D // 4))
-
-
-def test_real_primitive_chars_count_fundamental_discriminants():
-    for M in range(1, 121):
-        chars = real_primitive_chars(M)
-        expected = sum(
-            1 for D in range(-M, M + 1) if D and M % abs(D) == 0 and _is_fundamental(D)
-        )
-        assert len(chars) == expected, M
-        assert len(set(chars)) == len(chars), M
-        for chi in chars:
-            assert is_real(chi) and is_primitive(chi), (M, chi)
-            assert M % chi.modulus == 0, (M, chi)

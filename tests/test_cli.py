@@ -145,6 +145,7 @@ def test_flag_errors_exit_two(capsys):
                  ("residual", "--m", "1", "--M", "0", "--max-n", "5"),
                  ("main-term", "--m", "1", "--M", "0", "--n", "5")):
         assert run(capsys, *argv) == (2, "", "error: M must be >= 1\n"), argv
+    char_cap = "error: modulus 10007 exceeds the character-enumeration cap 5000\n"
     for argv, err in (
             # empirical: no prime p <= X is coprime to M, so nothing is averaged
             (("empirical", "--m", "1", "--M", "2", "--X", "2"),
@@ -163,6 +164,8 @@ def test_flag_errors_exit_two(capsys):
              "error: the residue m = 0 is excluded\n"),
             (("bias", "a1", "--m", "0", "--M", "5", "--route", "chars"),
              "error: the residue m = 0 is excluded\n"),
+            (("bias", "a2", "--m", "0", "--M", "5"),
+             "error: the residue m = 0 is excluded\n"),
             # past these caps the direct form enumeration would run for
             # hours and the divisor scan for about a minute
             (("hurwitz", "10000000000003"),
@@ -170,7 +173,13 @@ def test_flag_errors_exit_two(capsys):
             (("lambda", "--k", "0", "--m", "1", "--M", "3", "--n",
               "1000000000000000000"),
              "error: n = 1000000000000000000 exceeds the divisor-scan cap "
-             "100000000000000\n")):
+             "100000000000000\n"),
+            # these enumerate every character of every divisor of M, about
+            # M^2 steps: past the cap they would run for minutes
+            (("bias", "a2", "--route", "chars", "--m", "1", "--M", "10007"), char_cap),
+            (("bias", "a1", "--route", "chars", "--m", "1", "--M", "10007"), char_cap),
+            (("main-term", "--m", "1", "--M", "10007", "--n", "5"), char_cap),
+            (("empirical", "--m", "1", "--M", "10007", "--X", "1000"), char_cap)):
         assert run(capsys, *argv) == (2, "", err), argv
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])

@@ -9,11 +9,9 @@ from hurwitzbias import eisenstein
 from hurwitzbias.arith import divisors, euler_phi, factorize, ord_p
 from hurwitzbias.characters import (
     char_order,
-    is_real,
     kronecker_character,
     primitive_chars,
     principal_character,
-    real_primitive_chars,
 )
 from hurwitzbias.eisenstein import (
     MainTermExpansion,
@@ -321,14 +319,6 @@ def test_S_set_examples():
     s15 = S_set(1, 5)
     assert len(s15) == 4
     assert sum(1 for c in s15 if char_order(c) == 4) == 2
-
-
-def test_real_primitive_chars_are_the_real_part_of_S_set_in_order():
-    for M in range(3, 61):
-        for m in range(1, M + 1):
-            expected = [eta for eta in S_set(m, M) if is_real(eta)]
-            got = [eta for eta in real_primitive_chars(M) if in_S(eta, m, M, 1)]
-            assert got == expected, (m, M)
 
 
 def test_expansion_structure():
