@@ -8,6 +8,7 @@ they can check each other.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +22,9 @@ from .hurwitz import moment_H
 # empirical_A1 sieves every integer up to X in memory: about 100 MB of bytes
 # and a few hundred MB of prime list at the cap.
 _X_CAP = 10**8
+# density_scan counts at most 4^omega(M) classes per modulus: about 6 s at the
+# cap on a 2-core machine.
+_DENSITY_X_CAP = 10**5
 
 
 def delta_star(x: int, m: int, M: int) -> int:
@@ -76,6 +80,80 @@ def _a1_ratios(M: int, ms: Iterable[int]) -> Iterator[tuple[int, int, int]]:
         yield m, lead - d * full, den
 
 
+def _class_digits(p: int) -> list[int]:
+    """The class of each residue x mod p as a digit: 0 if p | x, 1 if x = 1,
+    2 if x = -1, 3 for the other units.  Mod 2 the unit 1 = -1 is digit 1."""
+    if p == 2:
+        return [0, 1]
+    return [0, 1] + [3] * (p - 3) + [2]
+
+
+@dataclass(frozen=True)
+class A1ClassTable:
+    """A1(m, M) over m in 1..M, one entry per class vector of m.
+
+    A class vector gives the digit of m mod each prime p | M, the primes in
+    increasing order, read as a mixed-radix number with the first prime
+    least significant.  Class k holds counts[k] of the m in 1..M, and A1 is
+    nums[k] / den on all of them, unreduced as _a1_ratios gives it.
+    """
+
+    M: int
+    primes: tuple[int, ...]
+    den: int
+    nums: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def index(self) -> list[int]:
+        """The class of each m in 1..M, in order of m."""
+        index = [0]  # M = 1 has no primes and one class
+        weight = 1
+        for p in self.primes:
+            digits = _class_digits(p)
+            # the digits of m = 1, 2, ..., p, repeated through m = M
+            row = [weight * d for d in digits[1:] + digits[:1]] * (self.M // p)
+            index = row if weight == 1 else list(map(operator.add, index, row))
+            weight *= max(digits) + 1
+        return index
+
+
+def a1_class_table(M: int) -> A1ClassTable:
+    """The closed form of A1 by class of m mod the primes of M.
+
+    A1's numerator depends on m only through the digits of m mod each
+    p | M (see _a1_ratios): p | m sets p's factor of lead, and the digits
+    1 and -1 decide whether m - 1 and m + 1 are units.  Digit 3 covers
+    p - 3 residues mod p, the others one each, and every residue mod rad M
+    appears M / rad M times in 1..M.
+    """
+    primes = tuple(p for p, _ in factorize(M))
+    # one (lead, count, some p has m = 1, some p has m = -1) per class vector
+    classes = [(2, M // math.prod(primes), False, False)]
+    full = 1
+    phi = M
+    for p in primes:
+        full *= p * p - 1
+        phi = phi // p * (p - 1)
+        unit = p * p - p - 1
+        # (factor of lead, residues mod p, m = 1, m = -1) for digits 0, 1, 2, 3
+        options = [(unit + 1, 1, False, False), (unit, 1, True, p == 2)]
+        if p > 2:
+            options.append((unit, 1, False, True))
+        if p > 3:
+            options.append((unit, p - 3, False, False))
+        classes = [(lead * f, count * size, plus or is_plus, minus or is_minus)
+                   for f, size, is_plus, is_minus in options
+                   for lead, count, plus, minus in classes]
+    return A1ClassTable(
+        M=M,
+        primes=primes,
+        den=2 * phi * full,
+        nums=tuple(lead - ((not plus) + (not minus)) * full
+                   for lead, _, plus, minus in classes),
+        counts=tuple(count for _, count, _, _ in classes),
+    )
+
+
 @lru_cache(maxsize=1 << 16)
 def A1_closed(m: int, M: int) -> Fraction:
     """Closed form of the F_p bias average, exact."""
@@ -121,7 +199,8 @@ def A2_closed(m: int, M: int) -> float:
     """Closed form of the F_{p^2} bias average, exact up to one rounding.
 
     A2(m, M) = prod_{p^a || M} f_{p^a}(m) + epsilon_mM(m, M) / (2 phi(M)),
-    summed in Fractions and rounded once.  For odd p, with c = chi_{-4}(p),
+    summed as one integer numerator and denominator and divided once, which
+    rounds correctly.  For odd p, with c = chi_{-4}(p),
     f_{p^a}(m) * p^(a-1) is (p - 1 - c)/((p - 1)(p - c)) if p !| m and
     1/(p - c) if p | m.  For p = 2 it is 1/3 or 2/3 (m odd or even) at
     a = 1, and 1/6, 5/12 or 1/4 (v_2(m) = 0, 1 or >= 2) over 2^(a-2) at
@@ -136,17 +215,23 @@ def A2_closed(m: int, M: int) -> float:
     if M < 3:
         raise ValueError("M must be >= 3")
     m = reduce_residue(m, M)
-    block = Fraction(1)
+    num = den = phi = 1
     for p, a in factorize(M):
+        q = p ** (a - 1)
+        phi *= (p - 1) * q
         if p == 2 and a == 1:
-            block *= Fraction(2 - m % 2, 3)
+            num *= 2 - m % 2
+            den *= 3
         elif p == 2:
-            block *= Fraction((2, 5, 3)[min(ord_p(m, 2), 2)], 3 * 2**a)
+            num *= (2, 5, 3)[min(ord_p(m, 2), 2)]
+            den *= 6 * q
         else:
             c = 1 if p % 4 == 1 else -1
-            num = p - 1 - c if m % p else p - 1
-            block *= Fraction(num, (p - 1) * (p - c) * p ** (a - 1))
-    return float(block + epsilon_mM(m, M) / (2 * euler_phi(M)))
+            num *= p - 1 - c if m % p else p - 1
+            den *= (p - 1) * (p - c) * q
+    # epsilon_mM / (2 phi) = -units / (3 phi)
+    units = 2 * _unit_halvings(m, M) + (math.gcd(m, M) == 1)
+    return (3 * phi * num - units * den) / (3 * phi * den)
 
 
 def A2_chars(m: int, M: int) -> float:
@@ -248,26 +333,16 @@ class DensityReport:
         return self.zero / self.pairs
 
 
-def a1_census(X: int) -> Iterator[tuple[int, Iterator[tuple[int, int, int]]]]:
-    """The closed form of A1 over all 1 <= m <= M <= X, one modulus at a time:
-    (M, the (m, num, den) of every m in 1..M), as _a1_ratios gives them."""
-    if not 1 <= X <= 5000:
-        raise ValueError("X must lie in 1..5000")
-    return ((M, _a1_ratios(M, range(1, M + 1))) for M in range(1, X + 1))
-
-
 def density_scan(X: int) -> DensityReport:
     """Sign counts of the closed-form F_p bias over all 1 <= m <= M <= X."""
-    positive = zero = negative = 0
-    for _, ratios in a1_census(X):
-        for _, num, _ in ratios:
-            if num > 0:
-                positive += 1
-            elif num < 0:
-                negative += 1
-            else:
-                zero += 1
-    return DensityReport(X=X, positive=positive, zero=zero, negative=negative)
+    if not 1 <= X <= _DENSITY_X_CAP:
+        raise ValueError(f"X must lie in 1..{_DENSITY_X_CAP}")
+    counts = [0, 0, 0]
+    for M in range(1, X + 1):
+        table = a1_class_table(M)
+        for num, count in zip(table.nums, table.counts):
+            counts[(num > 0) - (num < 0) + 1] += count
+    return DensityReport(X=X, positive=counts[2], zero=counts[1], negative=counts[0])
 
 
 def empirical_A1(m: int, M: int, X: int) -> float:

@@ -208,10 +208,6 @@ def char_order(chi: DirichletCharacter) -> int:
     return order
 
 
-def is_real(chi: DirichletCharacter) -> bool:
-    return char_order(chi) <= 2
-
-
 def _local_conductor(p: int, e: int, exps: tuple[int, ...]) -> int:
     orders = local_unit_group(p, e).orders
     order = _local_order(exps, orders)

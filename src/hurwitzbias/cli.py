@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bias import DensityReport, a1_census, bias_result, empirical_A1
+from .bias import DensityReport, a1_class_table, bias_result, empirical_A1
 from .eisenstein import main_term, reduce_residue
 from .frobenius import S_via_moments
 from .hurwitz import ensure_table, hurwitz_H, lambda_moment, moment_H
@@ -148,29 +148,38 @@ def _cmd_bias(args) -> int:
 
 
 SCAN_COLUMNS = ("m", "M", "a1_num", "a1_den", "sign")
+# scan writes every row: 12.5 million of them at the cap
+SCAN_X_CAP = 5000
 
 
 def _cmd_scan(args) -> int:
-    lines = []
+    if not 1 <= args.X <= SCAN_X_CAP:
+        raise ValueError(f"X must lie in 1..{SCAN_X_CAP}")
+    # one block of rows per modulus, each row its m and its class's suffix
+    blocks = []
     counts = [0, 0, 0]
-    for M, ratios in a1_census(args.X):
-        for m, num, den in ratios:
+    for M in range(1, args.X + 1):
+        table = a1_class_table(M)
+        suffixes = []
+        for num, count in zip(table.nums, table.counts):
             sign = (num > 0) - (num < 0)
-            counts[sign + 1] += 1
-            g = math.gcd(num, den)
-            lines.append(f"{m},{M},{num // g},{den // g},{sign}")
+            counts[sign + 1] += count
+            g = math.gcd(num, table.den)
+            suffixes.append(f",{M},{num // g},{table.den // g},{sign}")
+        blocks.append("\n".join([f"{m}{suffixes[k]}"
+                                  for m, k in zip(range(1, M + 1), table.index())]))
     report = DensityReport(X=args.X, positive=counts[2], zero=counts[1],
                            negative=counts[0])
     summary = (f"pairs {report.pairs} positive {report.positive_fraction:.4f} "
                f"negative {report.negative_fraction:.4f} "
                f"zero {report.zero_fraction:.4f}")
     if args.out:
-        _write_csv(args.out, SCAN_COLUMNS, lines)
-        print(f"wrote {len(lines)} rows to {args.out}")
+        _write_csv(args.out, SCAN_COLUMNS, blocks)
+        print(f"wrote {report.pairs} rows to {args.out}")
         print(summary)
     else:
         # keep stdout parseable as CSV; the summary goes to stderr
-        _emit_csv(sys.stdout, SCAN_COLUMNS, lines)
+        _emit_csv(sys.stdout, SCAN_COLUMNS, blocks)
         print(summary, file=sys.stderr)
     return 0
 

@@ -26,6 +26,7 @@ from .bias import (
     A1_closed,
     A2_chars,
     A2_closed,
+    _a1_ratios,
     density_scan,
     empirical_A1,
 )
@@ -254,9 +255,34 @@ def suite_signs(rep: VerifySuiteReport) -> None:
                       f"A2 sign m={m} M={M}", want_neg, v)
 
 
+# Exact (positive, zero, negative) counts of A1's sign over 1 <= m <= M <= X.
+# The X = 10^4 counts were recorded once from the per-m route (_a1_ratios),
+# which takes about 80 s there.
+DENSITY_COUNTS = {1000: (219_586, 1, 280_913), 10_000: (21_917_904, 1, 28_087_095)}
+
+
 def suite_density(rep: VerifySuiteReport) -> None:
-    """Sign densities over all classes with modulus up to 1000."""
-    report = density_scan(1000)
+    """Exact A1 sign counts at X = 1000 and 10^4, and the densities at 1000.
+
+    density_scan counts each modulus by class vectors of m mod its primes.
+    At X = 1000 the counts are also tallied m by m through _a1_ratios, the
+    per-m route behind A1_closed: it shares the A1 formula with the class
+    table but not its evaluation, since it reads the gcds of each m where
+    the table counts classes.  At X = 10^4 the class counts are checked
+    against counts recorded from the per-m route.
+    """
+    walk = [0, 0, 0]  # negative, zero, positive
+    for M in range(1, 1001):
+        for _, num, _ in _a1_ratios(M, range(1, M + 1)):
+            walk[(num > 0) - (num < 0) + 1] += 1
+    got = (walk[2], walk[1], walk[0])
+    rep.check(got == DENSITY_COUNTS[1000], "per-m counts X=1000",
+              DENSITY_COUNTS[1000], got)
+    reports = {X: density_scan(X) for X in DENSITY_COUNTS}
+    for X, want in DENSITY_COUNTS.items():
+        got = (reports[X].positive, reports[X].zero, reports[X].negative)
+        rep.check(got == want, f"class counts X={X}", want, got)
+    report = reports[1000]
     rep.check(abs(report.positive_fraction - 0.44) <= 0.01,
               "positive fraction", "0.44 +- 0.01", report.positive_fraction)
     rep.check(abs(report.negative_fraction - 0.56) <= 0.01,

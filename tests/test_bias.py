@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzbias.arith import factorize, primes_upto
+from hurwitzbias.arith import euler_phi, factorize, ord_p, primes_upto
 from hurwitzbias.bias import (
     A1_chars,
     A1_closed,
     A2_chars,
     A2_closed,
+    _a1_ratios,
+    a1_class_table,
     bias_result,
     delta_star,
     delta_star_sq,
@@ -20,7 +22,7 @@ from hurwitzbias.bias import (
     leading_sum,
     sign_rules,
 )
-from hurwitzbias.eisenstein import main_term
+from hurwitzbias.eisenstein import main_term, reduce_residue
 from hurwitzbias.hurwitz import moment_H
 
 
@@ -173,6 +175,8 @@ def test_density_scan_small():
     with pytest.raises(ValueError):
         density_scan(0)
     with pytest.raises(ValueError):
+        density_scan(10**5 + 1)
+    with pytest.raises(ValueError):
         density_scan(10**6)
 
 
@@ -186,6 +190,46 @@ def test_density_scan_matches_signs():
             neg += v < 0
             zero += v == 0
     assert (rep.positive, rep.negative, rep.zero) == (pos, neg, zero)
+    # modulus by modulus, the class table against the per-m closed form
+    total = [0, 0, 0]
+    for M in range(1, 301):
+        table = a1_class_table(M)
+        index = table.index()
+        assert len(index) == M
+        walk = [0, 0, 0]
+        for m, num, den in _a1_ratios(M, range(1, M + 1)):
+            assert (table.nums[index[m - 1]], table.den) == (num, den), (m, M)
+            walk[(num > 0) - (num < 0) + 1] += 1
+        assert table.counts == tuple(map(index.count, range(len(table.counts)))), M
+        tally = [0, 0, 0]
+        for num, count in zip(table.nums, table.counts):
+            tally[(num > 0) - (num < 0) + 1] += count
+        assert tally == walk, M
+        total = [a + b for a, b in zip(total, tally)]
+    rep = density_scan(300)
+    assert (rep.negative, rep.zero, rep.positive) == tuple(total) == (25_638, 1, 19_511)
+
+
+def _A2_fraction(m, M):
+    """A2_closed as it was summed in Fractions before its integer form."""
+    m = reduce_residue(m, M)
+    block = Fraction(1)
+    for p, a in factorize(M):
+        if p == 2 and a == 1:
+            block *= Fraction(2 - m % 2, 3)
+        elif p == 2:
+            block *= Fraction((2, 5, 3)[min(ord_p(m, 2), 2)], 3 * 2**a)
+        else:
+            c = 1 if p % 4 == 1 else -1
+            num = p - 1 - c if m % p else p - 1
+            block *= Fraction(num, (p - 1) * (p - c) * p ** (a - 1))
+    return float(block + epsilon_mM(m, M) / (2 * euler_phi(M)))
+
+
+def test_second_moment_closed_form_keeps_its_bits():
+    for M in range(3, 401):
+        for m in range(1, M + 1):
+            assert A2_closed(m, M).hex() == _A2_fraction(m, M).hex(), (m, M)
 
 
 def test_empirical_average_tracks_closed_form():

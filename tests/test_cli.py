@@ -179,7 +179,10 @@ def test_flag_errors_exit_two(capsys):
             (("bias", "a2", "--route", "chars", "--m", "1", "--M", "10007"), char_cap),
             (("bias", "a1", "--route", "chars", "--m", "1", "--M", "10007"), char_cap),
             (("main-term", "--m", "1", "--M", "10007", "--n", "5"), char_cap),
-            (("empirical", "--m", "1", "--M", "10007", "--X", "1000"), char_cap)):
+            (("empirical", "--m", "1", "--M", "10007", "--X", "1000"), char_cap),
+            # scan writes every row, so it keeps its cap while density_scan's is lifted
+            (("scan", "--X", "0"), "error: X must lie in 1..5000\n"),
+            (("scan", "--X", "5001"), "error: X must lie in 1..5000\n")):
         assert run(capsys, *argv) == (2, "", err), argv
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
