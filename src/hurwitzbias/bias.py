@@ -161,6 +161,11 @@ def A1_closed(m: int, M: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _a1_summand(m: int, M: int, x: int) -> float:
+    """The F_p bias at a unit x mod M: half the leading sum less the indicator."""
+    return (leading_sum(m, M, x, 1) - delta_star(x, m, M)) / 2
+
+
 def A1_chars(m: int, M: int) -> float:
     """The F_p bias average straight from its residue-sum definition."""
     if M < 1:
@@ -169,8 +174,8 @@ def A1_chars(m: int, M: int) -> float:
     for x in range(1, M + 1):
         if math.gcd(x, M) != 1:
             continue
-        total += leading_sum(m, M, x, 1) - delta_star(x, m, M)
-    return total / (2 * euler_phi(M))
+        total += _a1_summand(m, M, x)
+    return total / euler_phi(M)
 
 
 def _unit_halvings(m: int, M: int) -> int:
@@ -356,7 +361,7 @@ def empirical_A1(m: int, M: int, X: int) -> float:
     summand = {}
     for x in range(1, M + 1):
         if math.gcd(x, M) == 1:
-            summand[x % M] = (leading_sum(m, M, x, 1) - delta_star(x, m, M)) / 2
+            summand[x % M] = _a1_summand(m, M, x)
     total = 0.0
     count = 0
     for p in primes_upto(X):

@@ -2,13 +2,16 @@
 
 Characters are stored by their exponents on fixed generators of the local
 unit groups (Z/p^e)^*, so evaluation, products and conductors are all exact
-integer arithmetic. A character value is its exponent: chi(x) = e(expo) with
-expo an exact Fraction, and root(expo) is the one conversion to a complex
-number. Each character is evaluated from one cached integer table
-(char_table): chi(x) = e(e[x]/L), with L the lcm of the local generator
-orders and e[x] = -1 off the units. char_eval returns a table entry as the
-exponent Fraction(e[x], L), or None off the units; the hot sums read the
-table and the per-L complex values of root_values directly.
+integer arithmetic. Every character is built from such exponents, the star
+character too (star_char shifts the non-quadratic part's local exponents),
+so none is ever rebuilt from its values. A character value is its
+exponent: chi(x) = e(expo) with expo an exact Fraction, and root(expo) is
+the one conversion to a complex number. Each character is evaluated from
+one cached integer table (char_table): chi(x) = e(e[x]/L), with L the lcm
+of the local generator orders and e[x] = -1 off the units. char_eval
+returns a table entry as the exponent Fraction(e[x], L), or None off the
+units; the hot sums read the table and the per-L complex values of
+root_values directly.
 """
 
 from __future__ import annotations
@@ -131,14 +134,6 @@ def _mk_char(parts: list[tuple[int, int, tuple[int, ...]]]) -> DirichletCharacte
     return DirichletCharacter(modulus, tuple(parts))
 
 
-def principal_character(modulus: int) -> DirichletCharacter:
-    parts = []
-    for p, e in factorize(modulus):
-        group = local_unit_group(p, e)
-        parts.append((p, e, (0,) * len(group.gens)))
-    return _mk_char(parts)
-
-
 @lru_cache(maxsize=1 << 12)
 def char_table(chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
     """chi as (L, e): chi(x) = e(e[x]/L) for x mod the modulus, e[x] = -1 off the units.
@@ -235,66 +230,6 @@ def primitive_chars(modulus: int) -> tuple[DirichletCharacter, ...]:
     return tuple(chi for chi in enumerate_chars(modulus) if is_primitive(chi))
 
 
-def _crt_unit_lift(residue: int, q: int, modulus: int) -> int:
-    """The unit mod `modulus` that is `residue` mod q and 1 mod modulus/q."""
-    rest = modulus // q
-    if rest == 1:
-        return residue % modulus
-    inv = inverse_mod(rest % q, q)
-    return (1 + rest * ((residue - 1) * inv % q)) % modulus
-
-
-def from_values(modulus: int, expo_at) -> DirichletCharacter:
-    """Build the character mod `modulus` from a function giving its exponents.
-
-    expo_at(x) must return the exponent of the value at a unit x (a Fraction,
-    as char_eval gives it); it is only queried at lifts of the local
-    generators. Raises if the values are not a character of this modulus
-    (None on a unit, or a non-integral exponent on some generator).
-    """
-    parts = []
-    for p, e in factorize(modulus):
-        group = local_unit_group(p, e)
-        q = p**e
-        exps = []
-        for g, o in zip(group.gens, group.orders):
-            expo = expo_at(_crt_unit_lift(g, q, modulus))
-            if expo is None:
-                raise ValueError("character value vanished on a unit")
-            a = expo * o
-            if a.denominator != 1:
-                raise ValueError("values do not define a character of this modulus")
-            exps.append(int(a) % o)
-        parts.append((p, e, tuple(exps)))
-    return _mk_char(parts)
-
-
-def char_product(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
-    """Pointwise product, as a character mod lcm of the two moduli."""
-    m = math.lcm(a.modulus, b.modulus)
-    return from_values(m, lambda x: char_eval(a, x) + char_eval(b, x))
-
-
-@lru_cache(maxsize=1 << 12)
-def kronecker_character(bottom: int) -> DirichletCharacter:
-    """The primitive character agreeing with x -> kronecker(x, bottom) on units.
-
-    bottom must be >= 1. Only primes of odd multiplicity survive; the result
-    has squarefree odd conductor times a factor 8 when ord_2(bottom) is odd.
-    """
-    if bottom < 1:
-        raise ValueError("kronecker_character requires a positive bottom argument")
-    parts = []
-    for p, e in factorize(bottom):
-        if e % 2 == 0:
-            continue
-        if p == 2:
-            parts.append((2, 3, (0, 1)))
-        else:
-            parts.append((p, 1, ((p - 1) // 2,)))
-    return _mk_char(parts)
-
-
 @lru_cache(maxsize=1 << 12)
 def quad_decomp(eta: DirichletCharacter) -> tuple[DirichletCharacter, DirichletCharacter]:
     """Split a primitive character into quadratic and non-quadratic local parts.
@@ -313,19 +248,33 @@ def quad_decomp(eta: DirichletCharacter) -> tuple[DirichletCharacter, DirichletC
     return _mk_char(hat_parts), _mk_char(tilde_parts)
 
 
-@lru_cache(maxsize=1 << 12)
 def star_char(eta: DirichletCharacter) -> DirichletCharacter:
-    """The non-quadratic part times kronecker(x, its conductor), a primitive
-    character of that same conductor.
+    """The non-quadratic part times kronecker(x, its conductor N), a primitive
+    character of that same conductor, built on the local exponents.
+
+    At a unit x, kronecker(x, N) is the product of (x/p) over the p^e || N
+    with e odd, times chi8 when ord_2(N) is odd. (x/p) is -1 on the
+    generator of (Z/p^e)^*, and chi8 is +1 on -1 and -1 on 5. So each local
+    component with e odd shifts by half its generator order: at an odd p
+    the one exponent by phi(p^e)/2, at 2 only the exponent on 5.
 
     No induction is needed. At an odd p the non-quadratic part has local
-    order o > 2; multiplying by the quadratic character changes o by at most
-    a factor 2, so o stays above 1 with the same p-part, which fixes the
-    local conductor. At 2 the non-quadratic part has 2-part at least 16,
-    and there chi8 keeps its order.
+    order o > 2; the shift changes o by at most a factor 2, so o stays
+    above 1 with the same p-part, which fixes the local conductor. At 2 the
+    non-quadratic part has 2-part at least 16, and there the shift by chi8
+    keeps its order.
     """
     _, tilde = quad_decomp(eta)
-    return char_product(tilde, kronecker_character(tilde.modulus))
+    parts = []
+    for p, e, exps in tilde.locals:
+        if e % 2:
+            orders = local_unit_group(p, e).orders
+            if p == 2:
+                exps = (exps[0], (exps[1] + orders[1] // 2) % orders[1])
+            else:
+                exps = ((exps[0] + orders[0] // 2) % orders[0],)
+        parts.append((p, e, exps))
+    return _mk_char(parts)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -31,7 +31,6 @@ from .characters import (
     char_table,
     eps,
     gauss_sum,
-    kronecker_character,
     primitive_chars,
     quad_decomp,
     root,
@@ -52,7 +51,6 @@ def reduce_residue(m: int, M: int) -> int:
     return m % M or M
 
 
-@lru_cache(maxsize=1 << 12)
 def prefactor(M: int) -> Fraction:
     """2*zeta(2)/(M*L(2, principal mod M)) collapsed to a rational."""
     out = Fraction(2, M)
@@ -125,24 +123,17 @@ def psi(d: int, m: int, p: int, M: int) -> Fraction:
     raise ValueError("local divisor outside the admissible range")
 
 
-def _local_component(eta: DirichletCharacter, p: int) -> DirichletCharacter:
-    for q, e, exps in eta.locals:
-        if q == p:
-            return DirichletCharacter(q**e, ((q, e, exps),))
-    return DirichletCharacter(1, ())
-
-
 def phi2(eta: DirichletCharacter) -> complex:
     """Correction factor at the prime 2, split by where 2 sits in the conductor."""
     hat, tilde = quad_decomp(eta)
+    # the primes of eta are sorted, so an even conductor puts 2 at locals[0]
     if hat.modulus % 2 == 0:
-        eta2 = _local_component(eta, 2)
-        if eta2 == kronecker_character(8):
+        if eta.locals[0] == (2, 3, (0, 1)):  # chi8
             return 1 + 0j
         return -1j * root(2 * eps(odd_part(eta.modulus)))
     if tilde.modulus % 2 == 0:
         n2 = p_part(eta.modulus, 2)
-        eta2 = _local_component(eta, 2)
+        eta2 = DirichletCharacter(n2, eta.locals[:1])
         return 1 + root(char_eval(eta2, 1 + n2 // 4))
     return 1 + 0j
 

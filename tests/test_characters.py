@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 
 from hurwitzbias.arith import euler_phi, kronecker
 from hurwitzbias.characters import (
+    DirichletCharacter,
     char_eval,
     char_table,
     char_order,
-    char_product,
     conductor,
     enumerate_chars,
     eps,
-    from_values,
     gauss_quad_closed,
     gauss_quad_direct,
     gauss_sum,
     is_primitive,
-    kronecker_character,
     primitive_chars,
-    principal_character,
     quad_decomp,
     local_unit_group,
     root,
@@ -31,20 +28,16 @@ from hurwitzbias.characters import (
 )
 
 
-def induce_primitive(chi):
-    """The primitive character inducing chi: its values at a lift of each x
-    mod the conductor to a unit mod chi.modulus."""
-    n = conductor(chi)
-    if n == chi.modulus:
-        return chi
+def power(chi, k):
+    """chi^k, with each local exponent multiplied by k."""
+    return DirichletCharacter(chi.modulus, tuple(
+        (p, e, tuple(k * a % o for a, o in zip(exps, local_unit_group(p, e).orders)))
+        for p, e, exps in chi.locals
+    ))
 
-    def lift(x):
-        y = x % n if n > 1 else 1
-        while math.gcd(y, chi.modulus) != 1:
-            y += n
-        return y
 
-    return from_values(n, lambda x: char_eval(chi, lift(x)))
+def units(n):
+    return [x for x in range(1, n + 1) if math.gcd(x, n) == 1]
 
 
 def brute_conductor(chi):
@@ -125,7 +118,7 @@ def test_char_table_shape():
     assert len(e) == 15
     assert [x for x in range(15) if e[x] < 0] == [0, 3, 5, 6, 9, 10, 12]
     assert e[2] == 3  # chi(2) = chi_3(2) * chi_5(2) = (-1) * i = e(3/4)
-    assert char_table(principal_character(1)) == (1, (0,))
+    assert char_table(enumerate_chars(1)[0]) == (1, (0,))
 
 
 def reference_root(k, L):
@@ -159,7 +152,9 @@ def test_root_values_bits():
 
 def test_character_counts():
     for m in range(1, 40):
-        assert len(enumerate_chars(m)) == euler_phi(m)
+        chars = enumerate_chars(m)
+        assert len(chars) == euler_phi(m)
+        assert char_order(chars[0]) == 1  # principal first
 
 
 def test_primitive_counts():
@@ -199,57 +194,6 @@ def test_orthogonality():
             assert abs(total - expect) < 1e-12
 
 
-def test_from_values_roundtrip():
-    for m in (1, 2, 4, 8, 9, 12, 15, 16, 24, 36):
-        for chi in enumerate_chars(m):
-            rebuilt = from_values(m, lambda x, c=chi: char_eval(c, x))
-            assert rebuilt == chi
-
-
-def test_from_values_rejects():
-    # a vanishing value on a unit, and an exponent of order 8 mod 5
-    for expo in (None, Fraction(1, 8)):
-        with pytest.raises(ValueError):
-            from_values(5, lambda x, v=expo: v)
-
-
-def test_induction_roundtrip():
-    for m in (8, 12, 15, 16, 24, 36):
-        for chi in enumerate_chars(m):
-            prim = induce_primitive(chi)
-            assert is_primitive(prim)
-            assert prim.modulus == conductor(chi)
-            # inducing prim back up to m recovers chi
-            assert from_values(m, lambda x, p=prim: char_eval(p, x)) == chi
-            for x in range(m):
-                if math.gcd(x, m) == 1:
-                    assert char_eval(prim, x) == char_eval(chi, x)
-
-
-def test_char_product_pointwise():
-    for m1, m2 in ((3, 4), (5, 5), (8, 12), (7, 9)):
-        for c1 in enumerate_chars(m1):
-            for c2 in enumerate_chars(m2):
-                prod = char_product(c1, c2)
-                lcm = math.lcm(m1, m2)
-                assert prod.modulus == lcm
-                for x in range(lcm):
-                    if math.gcd(x, lcm) == 1:
-                        expo = (char_eval(c1, x) + char_eval(c2, x)) % 1
-                        assert char_eval(prod, x) == expo
-
-
-def test_kronecker_character_values():
-    for bottom in range(1, 41):
-        chi = kronecker_character(bottom)
-        assert is_primitive(chi)
-        assert char_order(chi) <= 2
-        step = 2 * bottom
-        for x in range(1, 200):
-            if math.gcd(x, step) == 1:
-                assert root(char_eval(chi, x)) == kronecker(x, bottom)
-
-
 def test_quad_decomp_structure():
     for n in range(1, 73):
         for eta in primitive_chars(n):
@@ -257,9 +201,10 @@ def test_quad_decomp_structure():
             assert math.gcd(hat.modulus, tilde.modulus) == 1
             assert hat.modulus * tilde.modulus == n
             assert char_order(hat) in (1, 2)
-            back = induce_primitive(char_product(hat, tilde))
-            assert back == eta
-            sq = induce_primitive(char_product(tilde, tilde))
+            sq = power(tilde, 2)
+            for x in units(n):
+                assert (char_eval(hat, x) + char_eval(tilde, x)) % 1 == char_eval(eta, x)
+                assert char_eval(sq, x) == 2 * char_eval(tilde, x) % 1
             if n % 16:
                 assert conductor(sq) == tilde.modulus
             else:
@@ -276,21 +221,38 @@ def test_quad_decomp_examples():
     # The split is cached per character; a non-primitive one raises every time.
     for _ in range(2):
         with pytest.raises(ValueError):
-            quad_decomp(principal_character(15))
+            quad_decomp(enumerate_chars(15)[0])
 
 
 def test_star_char():
-    triv = principal_character(1)
+    triv = enumerate_chars(1)[0]
     assert star_char(triv) == triv
     (leg5,) = [c for c in primitive_chars(5) if char_order(c) == 2]
     assert star_char(leg5) == triv
     for eta in primitive_chars(5):
         if char_order(eta) == 4:
-            assert star_char(eta) == char_product(eta, leg5)
+            star = star_char(eta)
+            assert star.modulus == 5
+            # the quartic exponent on the generator shifts by phi(5)/2
+            assert star.locals[0][2][0] == (eta.locals[0][2][0] + 2) % 4
+            for x in units(5):
+                assert char_eval(star, x) == (char_eval(eta, x) + char_eval(leg5, x)) % 1
     for eta in primitive_chars(7):
         if char_order(eta) == 3:
             assert char_order(star_char(eta)) == 6
             assert star_char(eta).modulus == 7
+
+
+def test_star_char_is_the_kronecker_twist():
+    # Conductors 32 and 64 shift the exponent on 5, 27 and 81 an odd p^e with e odd.
+    for n in range(1, 101):
+        for eta in primitive_chars(n):
+            _, tilde = quad_decomp(eta)
+            star = star_char(eta)
+            assert star.modulus == tilde.modulus, eta
+            for x in units(tilde.modulus):
+                twist = Fraction(int(kronecker(x, tilde.modulus) == -1), 2)
+                assert char_eval(star, x) == (char_eval(tilde, x) + twist) % 1, (eta, x)
 
 
 def test_star_char_keeps_the_non_quadratic_conductor():
@@ -303,7 +265,7 @@ def test_star_char_keeps_the_non_quadratic_conductor():
 
 
 def test_gauss_sum_classics():
-    assert gauss_sum(principal_character(1)) == 1
+    assert gauss_sum(enumerate_chars(1)[0]) == 1
     (chi3,) = primitive_chars(3)
     assert abs(gauss_sum(chi3) - 1j * math.sqrt(3)) < 1e-12
     (chi4,) = primitive_chars(4)
@@ -321,7 +283,9 @@ def test_gauss_sum_magnitude_and_conjugate():
         for chi in primitive_chars(n):
             g = gauss_sum(chi)
             assert abs(abs(g) - math.sqrt(n)) < 1e-10
-            conj_chi = from_values(n, lambda x, c=chi: -char_eval(c, x))
+            conj_chi = power(chi, -1)
+            for x in units(n):
+                assert char_eval(conj_chi, x) == -char_eval(chi, x) % 1
             sign = root(char_eval(chi, n - 1))
             assert abs(gauss_sum(conj_chi) - sign * g.conjugate()) < 1e-10
 
@@ -342,7 +306,3 @@ def test_gauss_quad_closed_matches_direct_sample():
                 rhs = gauss_quad_direct(a, b, c)
                 assert abs(lhs - rhs) < 1e-9, (a, b, c)
 
-
-def test_kronecker_character_rejects():
-    with pytest.raises(ValueError):
-        kronecker_character(0)

@@ -7,12 +7,7 @@ import pytest
 
 from hurwitzbias import eisenstein
 from hurwitzbias.arith import divisors, euler_phi, factorize, ord_p
-from hurwitzbias.characters import (
-    char_order,
-    kronecker_character,
-    primitive_chars,
-    principal_character,
-)
+from hurwitzbias.characters import char_eval, char_order, enumerate_chars, primitive_chars
 from hurwitzbias.eisenstein import (
     MainTermExpansion,
     S_set,
@@ -30,8 +25,8 @@ from hurwitzbias.eisenstein import (
 )
 from hurwitzbias.hurwitz import lambda_moment, moment_H
 
-TRIV = principal_character(1)
-CHI_M3 = kronecker_character(3)
+TRIV = enumerate_chars(1)[0]
+CHI_M3 = primitive_chars(3)[0]
 CHI_M4 = primitive_chars(4)[0]
 CHI5 = next(c for c in primitive_chars(5) if char_order(c) == 2)
 ETA4S = tuple(c for c in primitive_chars(5) if char_order(c) == 4)
@@ -133,7 +128,8 @@ def test_in_S_rejects_bad_input():
 
 def test_phi2_values():
     assert phi2(TRIV) == 1
-    assert phi2(kronecker_character(8)) == 1
+    (chi8,) = [c for c in primitive_chars(8) if char_eval(c, -1) == 0]
+    assert phi2(chi8) == 1
     assert abs(phi2(CHI_M4) - (-1j)) < 1e-15
 
 
