@@ -6,6 +6,9 @@ with closed-form signs, and verification suites cross-checking every closed
 form against an independent brute-force route.
 """
 
+import importlib
+import pkgutil
+
 from .bias import (
     A1_chars,
     A1_closed,
@@ -55,6 +58,7 @@ __all__ = [
     "TraceMassTable",
     "VerifySuiteReport",
     "bias_result",
+    "cache_stats",
     "cusp_coefficient",
     "cusp_residual_0",
     "density_scan",
@@ -71,3 +75,16 @@ __all__ = [
     "trace_mass_table",
     "__version__",
 ]
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """cache_info() of every functools.lru_cache defined in the package, as
+    {"module.function": {"hits", "misses", "maxsize", "currsize"}}, found by
+    scanning the package's modules."""
+    stats = {}
+    for info in pkgutil.iter_modules(__path__):
+        module = importlib.import_module(f"{__name__}.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                stats[f"{info.name}.{name}"] = obj.cache_info()._asdict()
+    return stats

@@ -167,7 +167,14 @@ def _a1_summand(m: int, M: int, x: int) -> float:
 
 
 def A1_chars(m: int, M: int) -> float:
-    """The F_p bias average straight from its residue-sum definition."""
+    """The F_p bias average straight from its residue-sum definition.
+
+    Summing eta(x) over the units x mod M cancels every non-principal eta,
+    so this route reads only the principal character's leading coefficient:
+    it cannot see star_char, phi2 or any non-principal coeff_a.  The checks
+    that reach star_char are the main-term values, such as the console-script
+    pins `main-term --m 2 --M 32 --n 97` and `main-term --m 5 --M 27 --n 50`.
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
     total = 0.0

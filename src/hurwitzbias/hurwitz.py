@@ -8,7 +8,10 @@ a, one scatter adds the terms below d = 4a^2 + 4a, and two patterns of
 period a add the rest into quarter-length int32 arrays, one for d = 0 and
 one for d = 3 (mod 4), the only classes that have forms.  The shared table
 grows by sieving only the discriminants it lacks, and moment_H steps
-through the traces of its class by M.
+through the traces of its class by M.  For k >= 1 it sums t^k * 12 H(4n - t^2)
+as one int64 dot product whenever isqrt(4n)^k * sum |12 H| < 2^63 bounds
+every partial sum, and in Python ints otherwise; the zeroth moment stays on
+Python ints, which are faster on its short classes.
 """
 
 from __future__ import annotations
@@ -187,13 +190,31 @@ def hurwitz_H(d: int) -> Fraction:
 @lru_cache(maxsize=1 << 15)
 def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
     """k-th moment of H(4n - t^2) over t = m (mod M), including t = 0 and
-    the boundary terms t^2 = 4n (where H(0) = -1/12)."""
+    the boundary terms t^2 = 4n (where H(0) = -1/12).
+
+    For k >= 1 the sum is one int64 dot product of t^k with the gathered
+    12 H values whenever tmax^k * sum |12 H| < 2^63, which bounds every
+    partial sum; past that bound, and for an empty class, it is summed in
+    Python ints.  k = 0 stays on Python ints: its classes are short (about
+    5 to 50 terms in the residual queries), where the numpy reduction costs
+    more than it saves.
+    """
     if k < 0 or M < 1 or n < 0:
         raise ValueError("moment_H requires k >= 0, M >= 1, n >= 0")
     tmax = math.isqrt(4 * n)
     t = np.arange(-tmax + (m + tmax) % M, tmax + 1, M)
-    h = ensure_table(4 * n).h12[4 * n - t * t].tolist()
-    num = sum(h) if k == 0 else sum(x**k * y for x, y in zip(t.tolist(), h))
+    h = ensure_table(4 * n).h12[4 * n - t * t]
+    if k == 0:
+        num = sum(h.tolist())
+    # The bound: every |t| <= tmax, so with S = sum |h| each |t^k| is at most
+    # tmax^k and each |t^k h| and each partial sum of the dot at most tmax^k S.
+    # Both are at most tmax^k max(S, 1), so below 2^63 nothing overflows, and
+    # numpy's integer dot sums in int64 without BLAS, so it is exact.  h >= -1
+    # (the one negative entry is h12[0] = -1), so np.abs(h) cannot wrap.
+    elif t.size and tmax**k * max(int(np.abs(h).sum()), 1) < 2**63:
+        num = int(np.dot(t**k, h))
+    else:
+        num = sum(x**k * y for x, y in zip(t.tolist(), h.tolist()))
     return Fraction(num, 12)
 
 

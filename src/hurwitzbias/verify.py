@@ -204,7 +204,14 @@ def suite_moments(rep: VerifySuiteReport) -> None:
 
 
 def suite_bias_routes(rep: VerifySuiteReport) -> None:
-    """Residue-sum and closed-form bias averages agree; pinned values hold."""
+    """Residue-sum and closed-form bias averages agree; pinned values hold.
+
+    The A1 residue sum (A1_chars) keeps only the principal character's
+    leading coefficient, since every non-principal eta sums to 0 over the
+    units, so this suite does not check star_char, phi2 or any non-principal
+    coeff_a; the `main-term --m 2 --M 32 --n 97` and `--M 27` console-script
+    pins are the checks that reach star_char.
+    """
     for M in range(1, 37):
         for m in range(1, M + 1):
             dev = abs(A1_chars(m, M) - float(A1_closed(m, M)))

@@ -1,6 +1,8 @@
 import importlib
 import math
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -169,3 +171,19 @@ def test_library_caches_are_bounded():
                 bounded.add(name)
     assert {"factorize", "moment_H", "lambda_moment", "trace_mass_table",
             "reduction_coefficient_rec"} <= bounded
+
+
+def test_cache_stats_reports_every_lru_cache():
+    hurwitzbias.moment_H.cache_clear()
+    assert hurwitzbias.cache_stats()["hurwitz.moment_H"]["misses"] == 0
+    hurwitzbias.moment_H(5, 1, 7, 499)
+    stats = hurwitzbias.cache_stats()
+    assert stats["hurwitz.moment_H"]["misses"] == 1
+    assert all(isinstance(info["maxsize"], int) for info in stats.values())
+    src = Path(hurwitzbias.__file__).parent
+    decorated = {
+        f"{path.stem}.{name}"
+        for path in src.glob("*.py")
+        for name in re.findall(r"^@lru_cache\(.*\)\ndef (\w+)", path.read_text(), re.M)
+    }
+    assert set(stats) == decorated

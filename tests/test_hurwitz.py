@@ -166,6 +166,35 @@ def test_moment_steps_match_filter():
                     assert moment_H(k, m, M, n) == moment_by_filter(k, m, M, n), (k, m, M, n)
 
 
+def test_moment_matches_python_int_sum_across_the_int64_bound():
+    # k >= 1 sums in int64 only while isqrt(4n)^k * sum |12 H| < 2^63; the
+    # grid reaches past that bound, where the sum is taken in Python ints
+    moment_H.cache_clear()
+    for n in (0, 1, 36, 9973, 62500, 250000):
+        h12 = ensure_table(4 * n).h12.tolist()
+        tmax = math.isqrt(4 * n)
+        for M in (1, 2, 3, 5, 12):
+            for m in (-13, -1, 0, 1, 4, 12, 29):
+                terms = [(t, h12[4 * n - t * t])
+                         for t in range(-tmax + (m + tmax) % M, tmax + 1, M)]
+                for k in range(13):
+                    want = Fraction(sum(t**k * h for t, h in terms), 12)
+                    assert moment_H(k, m, M, n) == want, (k, m, M, n)
+
+
+def test_moment_pins_on_both_sides_of_the_int64_bound():
+    # int64 path
+    assert moment_H(3, 2, 5, 250000) == -26353495920
+    # fits in int64, but the bound cannot show it, so it is summed in Python ints
+    assert moment_H(4, 0, 1, 250000) == 150683625594141448
+    # far past int64
+    assert moment_H(9, 1, 3, 250000) == -7477492730559215598691378370
+    # an empty class: n = 0 has only t = 0
+    for k in (1, 2, 7):
+        assert moment_H(k, 1, 3, 0) == 0
+        assert moment_H(k, 5, 12, 0) == 0
+
+
 def lambda_brute(k, m, M, n):
     total = Fraction(0)
     for t in range(1, 2 * n + 2):
