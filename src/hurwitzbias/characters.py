@@ -196,13 +196,6 @@ def _local_order(exps: tuple[int, ...], orders: tuple[int, ...]) -> int:
     return order
 
 
-def char_order(chi: DirichletCharacter) -> int:
-    order = 1
-    for p, e, exps in chi.locals:
-        order = math.lcm(order, _local_order(exps, local_unit_group(p, e).orders))
-    return order
-
-
 def _local_conductor(p: int, e: int, exps: tuple[int, ...]) -> int:
     orders = local_unit_group(p, e).orders
     order = _local_order(exps, orders)

@@ -10,8 +10,8 @@ from hurwitzbias.arith import euler_phi, kronecker
 from hurwitzbias.characters import (
     DirichletCharacter,
     char_eval,
+    _local_order,
     char_table,
-    char_order,
     conductor,
     enumerate_chars,
     eps,
@@ -34,6 +34,14 @@ def power(chi, k):
         (p, e, tuple(k * a % o for a, o in zip(exps, local_unit_group(p, e).orders)))
         for p, e, exps in chi.locals
     ))
+
+
+def char_order(chi):
+    """Order of chi: the lcm of its local components' orders."""
+    order = 1
+    for p, e, exps in chi.locals:
+        order = math.lcm(order, _local_order(exps, local_unit_group(p, e).orders))
+    return order
 
 
 def units(n):

@@ -2,12 +2,19 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from hurwitzbias import eisenstein
 from hurwitzbias.arith import divisors, euler_phi, factorize, ord_p
-from hurwitzbias.characters import char_eval, char_order, enumerate_chars, primitive_chars
+from hurwitzbias.characters import (
+    char_eval,
+    char_table,
+    enumerate_chars,
+    primitive_chars,
+    root_values,
+)
 from hurwitzbias.eisenstein import (
     MainTermExpansion,
     S_set,
@@ -24,6 +31,7 @@ from hurwitzbias.eisenstein import (
     sigma_twisted,
 )
 from hurwitzbias.hurwitz import lambda_moment, moment_H
+from test_characters import char_order
 
 TRIV = enumerate_chars(1)[0]
 CHI_M3 = primitive_chars(3)[0]
@@ -263,6 +271,57 @@ def test_non_real_main_term_raises_at_every_size():
     for n in (1, 10**7):
         with pytest.raises(ArithmeticError, match="off the real axis"):
             skew.evaluate(n)
+
+
+def test_evaluate_rejects_n_below_one():
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="n >= 1"):
+            build_expansion(1, 3).evaluate(n)
+
+
+@lru_cache(maxsize=None)
+def sigma_ascending(eta, q):
+    """Sum of x * eta(x) * eta(q/x) over the divisors x of q, smallest first."""
+    L, e = char_table(eta)
+    roots = root_values(L)
+    total = 0j
+    for x in divisors(q):
+        a, b = e[q // x % eta.modulus], e[x % eta.modulus]
+        if a >= 0 and b >= 0:
+            total += roots[(a + b) % L] * x
+    return total
+
+
+def evaluate_per_term(ex, n):
+    """The expansion summed term by term, each with its own divisor list of n/d."""
+    total = 0j
+    for eta, d, coeff in ex.terms:
+        if n % d == 0:
+            total += coeff * sigma_ascending(eta, n // d)
+    total *= float(ex.prefactor)
+    return total.real
+
+
+# highly composite, prime powers of 2 and 3, and a prime
+LARGE_N = (55440, 65536, 59049, 720720, 999983)
+
+
+def test_evaluate_is_bit_identical_to_the_per_term_sum():
+    # evaluate shares one divisor list of n between the terms; the float sum
+    # must not move, since CSV bytes and benchmark digests hash its %.12g.
+    ns = (*range(1, 301), *LARGE_N)
+    etas = set()
+    for M in range(1, 25):
+        for m in range(1, M + 1):
+            ex = build_expansion(m, M)
+            etas.update(eta for eta, _, _ in ex.terms)
+            for n in ns:
+                want = evaluate_per_term(ex, n)
+                assert main_term(m, M, n).hex() == want.hex(), (m, M, n)
+    for eta in etas:
+        for n in ns:
+            got, want = sigma_twisted(eta, n), sigma_ascending(eta, n)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (eta, n)
 
 
 def test_progression_sum_collapses_to_full_interval():
