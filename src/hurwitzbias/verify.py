@@ -161,11 +161,15 @@ def suite_boundary(rep: VerifySuiteReport) -> None:
 
 
 def suite_schoof(rep: VerifySuiteReport) -> None:
-    """Curve tallies against the moment route, plus the total mass formula."""
-    for q in (5, 7, 11, 13, 25, 49, 121):
+    """Curve tallies against the moment route, plus the total mass formula.
+
+    The prime fields are every p from 5 to 47 and the large field p = 5801;
+    the quadratic fields are p^2 for p = 5, 7, 11.
+    """
+    for q in (5, 7, 11, 13, 25, 49, 121, 5801):
         total = trace_mass_table(q).total_mass()
         rep.check(total == q, f"total mass q={q}", q, total)
-    r1_primes = [p for p in primes_upto(47) if p >= 5]
+    r1_primes = [p for p in primes_upto(47) if p >= 5] + [5801]
     for p in r1_primes:
         for M in range(1, 9):
             if M % p == 0:

@@ -92,14 +92,22 @@ def test_f5_table_by_hand():
     assert raw == 20
 
 
+def _assert_bridge_table(p):
+    # Away from the characteristic the weighted count of trace t is
+    # H(4p - t^2)/2.  t = 0 is the only trace in the Hasse range that p
+    # divides, so this and the total mass p fix the whole table.
+    table = trace_mass_table(p)
+    assert table.total_mass() == p
+    bound = math.isqrt(4 * p)
+    for t in range(-bound, bound + 1):
+        if t != 0:
+            assert table.mass(t) == Fraction(hurwitz_H(4 * p - t * t), 2), (p, t)
+
+
 def test_mass_matches_class_number_count():
-    # away from the characteristic the weighted count of trace t is H(4p - t*t)/2
-    for p in (5, 7, 11, 13):
-        table = trace_mass_table(p)
-        for t in range(-2 * math.isqrt(p), 2 * math.isqrt(p) + 1):
-            if t % p == 0:
-                continue
-            assert table.mass(t) == hurwitz_H(4 * p - t * t) / 2
+    for p in primes_upto(599):
+        if p >= 5:
+            _assert_bridge_table(p)
 
 
 def test_direct_moment_examples():
@@ -166,13 +174,12 @@ def test_restricted_moment_plus_error(p, r):
 def test_twist_class_rows_match_every_a(monkeypatch):
     # One weighted row per quartic-twist class must tally exactly what the
     # full enumeration, one row of weight 1 for every a in F_q, tallies.
-    classes = {p: frobenius._prime_field_tally(p) for p in primes_upto(200) if p >= 5}
-    squares = {p: frobenius._quadratic_field_tally(p) for p in (5, 7, 11, 13, 17, 19)}
+    fields = [(p, 1) for p in primes_upto(200) if p >= 5]
+    fields += [(p, 2) for p in (5, 7, 11, 13, 17, 19)]
+    classes = {(p, r): frobenius._field_tally(p, r) for p, r in fields}
     monkeypatch.setattr(frobenius, "_twist_classes", lambda q, power: [(a, 1) for a in range(q)])
-    for p, tally in classes.items():
-        assert tally == frobenius._prime_field_tally(p), p
-    for p, tally in squares.items():
-        assert tally == frobenius._quadratic_field_tally(p), p * p
+    for (p, r), tally in classes.items():
+        assert tally == frobenius._field_tally(p, r), p**r
 
 
 def test_argument_validation():
@@ -194,21 +201,17 @@ def test_argument_validation():
         S_via_moments(0, 1, 3, 5, 0)
     with pytest.raises(ValueError):
         S_direct(0, 1, 0, 5)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        S_direct(-1, 0, 1, 5)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        S_direct(-1, 1, 2, 5)
 
 
-def test_prime_field_memory_budget(monkeypatch):
-    # The prime-field kernel needs 16 p^2 bytes; past the 512 MiB budget
-    # (p > 5792) the table is refused before the kernel runs.
-    def kernel(p):
-        raise RuntimeError(f"kernel reached for p = {p}")
-
-    monkeypatch.setattr(frobenius, "_prime_field_tally", kernel)
+def test_prime_fields_up_to_the_cap():
+    # The kernel holds O(p) arrays, so prime fields up to the cap enumerate.
     for p in (5801, 19997):
-        with pytest.raises(ValueError, match="MiB budget"):
-            trace_mass_table(p)
-        with pytest.raises(ValueError, match="MiB budget"):
-            S_direct(0, 1, 3, p)
-    with pytest.raises(RuntimeError, match="p = 5791"):
-        trace_mass_table(5791)
-    # The moment route never enumerates curves, so it still answers.
+        _assert_bridge_table(p)
+        for k in (0, 1, 2):
+            for m in range(3):
+                assert S_direct(k, m, 3, p) == S_via_moments(k, m, 3, p, 1), (k, m, p)
     assert S_via_moments(0, 1, 3, 19997, 1) == Fraction(9999, 2)
