@@ -20,7 +20,7 @@ from . import __version__
 from .bias import DensityReport, a1_class_table, bias_result, empirical_A1
 from .eisenstein import main_term, reduce_residue
 from .frobenius import S_via_moments
-from .hurwitz import ensure_table, hurwitz_H, lambda_moment, moment_H
+from .hurwitz import _TABLE_HARD_LIMIT, ensure_table, hurwitz_H, lambda_moment, moment_H
 from .verify import SUITES, run_suites
 
 
@@ -37,7 +37,7 @@ def _canonical_json(obj) -> str:
 
 
 def _emit_value(args, value, **inputs) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         payload = {k: _fmt(v) if isinstance(v, (Fraction, float)) else v
                    for k, v in inputs.items()}
         payload["value"] = _fmt(value)
@@ -50,9 +50,22 @@ def _add_format_flag(parser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _cmd_hurwitz(args) -> int:
-    _emit_value(args, hurwitz_H(args.D), D=args.D)
+def _cmd_value(args) -> int:
+    inputs = {name: getattr(args, name) for name in args.inputs}
+    _emit_value(args, args.compute(*inputs.values()), **inputs)
     return 0
+
+
+def _add_value_command(sub, name, help, compute, *inputs) -> None:
+    """A subcommand printing compute(*inputs): D is positional, the rest --flags."""
+    p = sub.add_parser(name, help=help)
+    for key in inputs:
+        if key == "D":
+            p.add_argument(key, type=int)
+        else:
+            p.add_argument(f"--{key}", type=int, required=True)
+    _add_format_flag(p)
+    p.set_defaults(func=_cmd_value, compute=compute, inputs=inputs)
 
 
 def _cmd_hurwitz_table(args) -> int:
@@ -70,25 +83,9 @@ def _cmd_hurwitz_table(args) -> int:
     return 0
 
 
-def _cmd_moment(args) -> int:
-    value = moment_H(args.k, args.m, args.M, args.n)
-    _emit_value(args, value, k=args.k, m=args.m, M=args.M, n=args.n)
-    return 0
-
-
-def _cmd_lambda(args) -> int:
-    value = lambda_moment(args.k, args.m, args.M, args.n)
-    _emit_value(args, value, k=args.k, m=args.m, M=args.M, n=args.n)
-    return 0
-
-
-def _cmd_main_term(args) -> int:
-    value = main_term(args.m, args.M, args.n)
-    _emit_value(args, value, m=args.m, M=args.M, n=args.n)
-    return 0
-
-
 RESIDUAL_COLUMNS = ("n", "moment", "lambda", "main_term", "residual")
+# moment_H at n reads class numbers up to 4n, which the cap bounds
+RESIDUAL_N_CAP = _TABLE_HARD_LIMIT // 4
 
 
 def _residual_rows(m: int, M: int, max_n: int):
@@ -119,6 +116,8 @@ def _write_csv(path: str, header, lines) -> None:
 def _cmd_residual(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
+    if args.max_n > RESIDUAL_N_CAP:
+        raise ValueError(f"--max-n must be <= {RESIDUAL_N_CAP}")
     rows = list(_residual_rows(args.m, args.M, args.max_n))
     lines = (",".join(row) for row in rows)
     if args.out:
@@ -130,12 +129,6 @@ def _cmd_residual(args) -> int:
         print(_canonical_json(payload))
     else:
         _emit_csv(sys.stdout, RESIDUAL_COLUMNS, lines)
-    return 0
-
-
-def _cmd_trace_moment(args) -> int:
-    value = S_via_moments(args.k, args.m, args.M, args.p, args.r)
-    _emit_value(args, value, k=args.k, m=args.m, M=args.M, p=args.p, r=args.r)
     return 0
 
 
@@ -184,12 +177,6 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_empirical(args) -> int:
-    value = empirical_A1(args.m, args.M, args.X)
-    _emit_value(args, value, m=args.m, M=args.M, X=args.X)
-    return 0
-
-
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite in (None, "all") else [args.suite]
     failures = 0
@@ -212,33 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
                  "(eta0 reading: eta, phi conductor reading: eta_tilde)"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hurwitz", help="single class number H(D)")
-    p.add_argument("D", type=int)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_hurwitz)
+    _add_value_command(sub, "hurwitz", "single class number H(D)", hurwitz_H, "D")
 
     p = sub.add_parser("hurwitz-table", help="table of H(D) for 0 <= D <= max")
     p.add_argument("--max", type=int, required=True)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_hurwitz_table)
 
-    p = sub.add_parser("moment", help="k-th moment over the class m mod M")
-    for flag in ("--k", "--m", "--M", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("lambda", help="divisor-pair correction sum")
-    for flag in ("--k", "--m", "--M", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_lambda)
-
-    p = sub.add_parser("main-term", help="Eisenstein main term at n")
-    for flag in ("--m", "--M", "--n"):
-        p.add_argument(flag, type=int, required=True)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_main_term)
+    _add_value_command(sub, "moment", "k-th moment over the class m mod M",
+                       moment_H, "k", "m", "M", "n")
+    _add_value_command(sub, "lambda", "divisor-pair correction sum",
+                       lambda_moment, "k", "m", "M", "n")
+    _add_value_command(sub, "main-term", "Eisenstein main term at n",
+                       main_term, "m", "M", "n")
 
     p = sub.add_parser("residual", help="cusp residual series up to max-n")
     p.add_argument("--m", type=int, required=True)
@@ -248,12 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
     p.set_defaults(func=_cmd_residual)
 
-    p = sub.add_parser("trace-moment",
-                       help="moment of traces of Frobenius over F_{p^r}")
-    for flag in ("--k", "--m", "--M", "--p", "--r"):
-        p.add_argument(flag, type=int, required=True)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_trace_moment)
+    _add_value_command(sub, "trace-moment",
+                       "moment of traces of Frobenius over F_{p^r}",
+                       S_via_moments, "k", "m", "M", "p", "r")
 
     p = sub.add_parser("bias", help="size-graded bias average")
     p.add_argument("quantity", choices=("a1", "a2"))
@@ -268,13 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("empirical",
-                       help="bias average over actual primes below X")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--X", type=int, required=True)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_empirical)
+    _add_value_command(sub, "empirical", "bias average over actual primes below X",
+                       empirical_A1, "m", "M", "X")
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("suite", nargs="?", default="all",

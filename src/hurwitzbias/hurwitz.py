@@ -143,7 +143,7 @@ class HurwitzTable:
 
     def __init__(self, limit: int, base: HurwitzTable | None = None):
         if limit > _TABLE_HARD_LIMIT:
-            raise ValueError("table limit is guarded to 5e7")
+            raise ValueError(f"d = {limit} exceeds the class-number cap {_TABLE_HARD_LIMIT}")
         self.limit = limit
         h = np.zeros(limit + 1, dtype=np.int64)
         if base is None:

@@ -169,25 +169,16 @@ def suite_schoof(rep: VerifySuiteReport) -> None:
     for q in (5, 7, 11, 13, 25, 49, 121, 5801):
         total = trace_mass_table(q).total_mass()
         rep.check(total == q, f"total mass q={q}", q, total)
-    r1_primes = [p for p in primes_upto(47) if p >= 5] + [5801]
-    for p in r1_primes:
+    fields = [(p, 1) for p in primes_upto(47) if p >= 5]
+    for p, r in fields + [(5801, 1), (5, 2), (7, 2), (11, 2)]:
         for M in range(1, 9):
             if M % p == 0:
                 continue
             for k in (0, 1, 2):
                 for m in range(1, M + 1):
-                    lhs = S_direct(k, m, M, p)
-                    rhs = S_via_moments(k, m, M, p, 1)
-                    rep.check(lhs == rhs, f"r=1 k={k} m={m} M={M} p={p}", rhs, lhs)
-    for p in (5, 7, 11):
-        for M in range(1, 9):
-            if M % p == 0:
-                continue
-            for k in (0, 1, 2):
-                for m in range(1, M + 1):
-                    lhs = S_direct(k, m, M, p * p)
-                    rhs = S_via_moments(k, m, M, p, 2)
-                    rep.check(lhs == rhs, f"r=2 k={k} m={m} M={M} p={p}", rhs, lhs)
+                    lhs = S_direct(k, m, M, p**r)
+                    rhs = S_via_moments(k, m, M, p, r)
+                    rep.check(lhs == rhs, f"r={r} k={k} m={m} M={M} p={p}", rhs, lhs)
 
 
 def suite_moments(rep: VerifySuiteReport) -> None:

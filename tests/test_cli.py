@@ -1,5 +1,6 @@
 """Tests for the command line frontend: formats, schemas, exit codes."""
 
+import argparse
 import hashlib
 import json
 
@@ -7,7 +8,7 @@ import pytest
 
 from hurwitzbias import verify
 from hurwitzbias.bias import A1_closed, density_scan
-from hurwitzbias.cli import main
+from hurwitzbias.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -170,6 +171,14 @@ def test_flag_errors_exit_two(capsys):
             # hours and the divisor scan for about a minute
             (("hurwitz", "10000000000003"),
              "error: d = 10000000000003 exceeds the class-number cap 50000000\n"),
+            # the table for these would pass the same cap; residual rejects
+            # --max-n up front instead of failing at n = 12500001
+            (("moment", "--k", "0", "--m", "1", "--M", "3", "--n", "20000000"),
+             "error: d = 80000000 exceeds the class-number cap 50000000\n"),
+            (("hurwitz-table", "--max", "60000000"),
+             "error: d = 60000000 exceeds the class-number cap 50000000\n"),
+            (("residual", "--m", "1", "--M", "3", "--max-n", "20000000"),
+             "error: --max-n must be <= 12500000\n"),
             (("lambda", "--k", "0", "--m", "1", "--M", "3", "--n",
               "1000000000000000000"),
              "error: n = 1000000000000000000 exceeds the divisor-scan cap "
@@ -256,3 +265,59 @@ def test_golden_scan(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out == f"wrote 45150 rows to {target}\n" + SCAN_300_SUMMARY
     assert hashlib.sha256(target.read_bytes()).hexdigest() == SCAN_300_CSV
+
+
+def _int_flag(flag, dest=None):
+    return ((flag,), dest or flag[2:], int, True, None, None, None)
+
+
+_HELP = (("-h", "--help"), "help", None, False, None, argparse.SUPPRESS, 0)
+_FORMAT = (("--format",), "format", None, False, ("text", "json"), "text", None)
+_OUT = (("--out",), "out", None, False, None, None, None)
+# every subcommand in its registration order, with its help and every
+# action's (option_strings, dest, type, required, choices, default, nargs)
+PARSER_SHAPE = {
+    ("hurwitz", "single class number H(D)"):
+        [_HELP, ((), "D", int, True, None, None, None), _FORMAT],
+    ("hurwitz-table", "table of H(D) for 0 <= D <= max"):
+        [_HELP, _int_flag("--max"), _FORMAT],
+    ("moment", "k-th moment over the class m mod M"):
+        [_HELP, *map(_int_flag, ("--k", "--m", "--M", "--n")), _FORMAT],
+    ("lambda", "divisor-pair correction sum"):
+        [_HELP, *map(_int_flag, ("--k", "--m", "--M", "--n")), _FORMAT],
+    ("main-term", "Eisenstein main term at n"):
+        [_HELP, *map(_int_flag, ("--m", "--M", "--n")), _FORMAT],
+    ("residual", "cusp residual series up to max-n"):
+        [_HELP, _int_flag("--m"), _int_flag("--M"), _int_flag("--max-n", "max_n"),
+         _OUT, _FORMAT],
+    ("trace-moment", "moment of traces of Frobenius over F_{p^r}"):
+        [_HELP, *map(_int_flag, ("--k", "--m", "--M", "--p", "--r")), _FORMAT],
+    ("bias", "size-graded bias average"):
+        [_HELP, ((), "quantity", None, True, ("a1", "a2"), None, None),
+         _int_flag("--m"), _int_flag("--M"),
+         (("--route",), "route", None, False, ("closed", "chars"), "closed", None),
+         _FORMAT],
+    ("scan", "sign census over all classes with M <= X"):
+        [_HELP, _int_flag("--X"), _OUT],
+    ("empirical", "bias average over actual primes below X"):
+        [_HELP, *map(_int_flag, ("--m", "--M", "--X")), _FORMAT],
+    ("verify", "run self-check suites"):
+        [_HELP, ((), "suite", None, False,
+                 ("all", "kronecker-hurwitz", "progressions",
+                  "reduction-coefficients", "gauss", "eisenstein", "boundary",
+                  "schoof", "moments", "bias-routes", "signs", "density",
+                  "equidistribution"), "all", "?")],
+}
+
+
+def test_parser_shape():
+    # structure rather than --help text, which depends on the terminal
+    # width and the Python version
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [(c.dest, c.help) for c in sub._choices_actions] == list(PARSER_SHAPE)
+    for (name, _), actions in PARSER_SHAPE.items():
+        shape = [(tuple(a.option_strings), a.dest, a.type, a.required,
+                  None if a.choices is None else tuple(a.choices), a.default,
+                  a.nargs) for a in sub.choices[name]._actions]
+        assert shape == actions, name

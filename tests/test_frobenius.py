@@ -114,7 +114,10 @@ def test_direct_moment_examples():
     assert S_direct(0, 0, 1, 5) == 5
     assert S_direct(2, 1, 2, 5) == 10
     # tallying never needs the modulus to be coprime to the characteristic
-    assert S_direct(0, 1, 5, 25) == S_direct(0, 1, 5, 25)
+    assert S_direct(0, 1, 5, 25) == Fraction(23, 4)
+    # the traces t = 1 (mod 5) with t^2 <= 100 are -9, -4, 1, 6; 5 divides
+    # none of them, so each has the class-number count H(100 - t^2)/2
+    assert S_direct(0, 1, 5, 25) == sum(hurwitz_H(100 - t * t) for t in (-9, -4, 1, 6)) / 2
 
 
 def test_moment_route_examples():
