@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bias import DensityReport, a1_class_table, bias_result, empirical_A1
-from .eisenstein import main_term, reduce_residue
+from .eisenstein import build_expansion, main_term, reduce_residue
 from .frobenius import S_via_moments
 from .hurwitz import _TABLE_HARD_LIMIT, ensure_table, hurwitz_H, lambda_moment, moment_H
 from .verify import SUITES, run_suites
@@ -71,15 +71,14 @@ def _add_value_command(sub, name, help, compute, *inputs) -> None:
 def _cmd_hurwitz_table(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be >= 0")
-    ensure_table(args.max)
-    rows = [(d, hurwitz_H(d)) for d in range(args.max + 1)]
+    table = ensure_table(args.max)
     if args.format == "json":
         payload = {"max": args.max,
-                   "values": {str(d): _fmt(h) for d, h in rows}}
+                   "values": {str(d): _fmt(table.value(d)) for d in range(args.max + 1)}}
         print(_canonical_json(payload))
     else:
-        for d, h in rows:
-            print(f"{d} {_fmt(h)}")
+        for d in range(args.max + 1):
+            print(f"{d} {_fmt(table.value(d))}")
     return 0
 
 
@@ -118,11 +117,14 @@ def _cmd_residual(args) -> int:
         raise ValueError("--max-n must be >= 1")
     if args.max_n > RESIDUAL_N_CAP:
         raise ValueError(f"--max-n must be <= {RESIDUAL_N_CAP}")
-    rows = list(_residual_rows(args.m, args.M, args.max_n))
+    # a bad class fails before the first line is written: M, and the
+    # character cap, which building the main term's expansion enforces
+    build_expansion(reduce_residue(args.m, args.M), args.M)
+    rows = _residual_rows(args.m, args.M, args.max_n)
     lines = (",".join(row) for row in rows)
     if args.out:
         _write_csv(args.out, RESIDUAL_COLUMNS, lines)
-        print(f"wrote {len(rows)} rows to {args.out}")
+        print(f"wrote {args.max_n} rows to {args.out}")
     elif args.format == "json":
         payload = {"columns": list(RESIDUAL_COLUMNS),
                    "rows": [list(r) for r in rows]}
@@ -148,32 +150,35 @@ SCAN_X_CAP = 5000
 def _cmd_scan(args) -> int:
     if not 1 <= args.X <= SCAN_X_CAP:
         raise ValueError(f"X must lie in 1..{SCAN_X_CAP}")
-    # one block of rows per modulus, each row its m and its class's suffix
-    blocks = []
     counts = [0, 0, 0]
-    for M in range(1, args.X + 1):
-        table = a1_class_table(M)
-        suffixes = []
-        for num, count in zip(table.nums, table.counts):
-            sign = (num > 0) - (num < 0)
-            counts[sign + 1] += count
-            g = math.gcd(num, table.den)
-            suffixes.append(f",{M},{num // g},{table.den // g},{sign}")
-        blocks.append("\n".join([f"{m}{suffixes[k]}"
-                                  for m, k in zip(range(1, M + 1), table.index())]))
+
+    def blocks():
+        # one block of rows per modulus, each row its m and its class's
+        # suffix; the signs are counted as the blocks are written
+        for M in range(1, args.X + 1):
+            table = a1_class_table(M)
+            suffixes = []
+            for num, count in zip(table.nums, table.counts):
+                sign = (num > 0) - (num < 0)
+                counts[sign + 1] += count
+                g = math.gcd(num, table.den)
+                suffixes.append(f",{M},{num // g},{table.den // g},{sign}")
+            yield "\n".join([f"{m}{suffixes[k]}"
+                              for m, k in zip(range(1, M + 1), table.index())])
+
+    if args.out:
+        _write_csv(args.out, SCAN_COLUMNS, blocks())
+    else:
+        _emit_csv(sys.stdout, SCAN_COLUMNS, blocks())
     report = DensityReport(X=args.X, positive=counts[2], zero=counts[1],
                            negative=counts[0])
     summary = (f"pairs {report.pairs} positive {report.positive_fraction:.4f} "
                f"negative {report.negative_fraction:.4f} "
                f"zero {report.zero_fraction:.4f}")
     if args.out:
-        _write_csv(args.out, SCAN_COLUMNS, blocks)
         print(f"wrote {report.pairs} rows to {args.out}")
-        print(summary)
-    else:
-        # keep stdout parseable as CSV; the summary goes to stderr
-        _emit_csv(sys.stdout, SCAN_COLUMNS, blocks)
-        print(summary, file=sys.stderr)
+    # keep stdout parseable as CSV: without --out the summary goes to stderr
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

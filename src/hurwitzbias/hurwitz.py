@@ -1,13 +1,14 @@
 """Hurwitz class numbers, their power moments along residue classes, and the
 reduction of higher moments to the zeroth one.
 
-Two independent routes to the class numbers: hurwitz_direct enumerates
-reduced quadratic forms one discriminant at a time (slow, serves as oracle),
-while the sieve table counts (a, b, c) triples once for a whole range.  Per
-a, one scatter adds the terms below d = 4a^2 + 4a, and two patterns of
-period a add the rest into quarter-length int32 arrays, one for d = 0 and
-one for d = 3 (mod 4), the only classes that have forms.  The shared table
-grows by sieving only the discriminants it lacks, and moment_H steps
+One route serves the class numbers: a sieve that counts reduced forms
+(a, b, c) once for a window [lo, hi] of discriminants.  Per a, one scatter
+adds the terms below d = 4a^2 + 4a, and two patterns of period a add the
+rest into quarter-length int32 arrays, one for d = 0 and one for d = 3
+(mod 4), the only classes that have forms.  The shared table is the window
+from 0, grown by sieving only what it lacks; hurwitz_H sieves [d, d] past
+it.  hurwitz_direct, which enumerates forms one d at a time, is only the
+oracle that the tests and the benchmark check the sieve by.  moment_H steps
 through the traces of its class by M.  For k >= 1 it sums t^k * 12 H(4n - t^2)
 as one int64 dot product whenever isqrt(4n)^k * sum |12 H| < 2^63 bounds
 every partial sum, and in Python ints otherwise; the zeroth moment stays on
@@ -82,7 +83,7 @@ def _add_periodic(q: np.ndarray, first: int, start: int, pattern: np.ndarray) ->
 
 def _sieve_range(h: np.ndarray, lo: int, hi: int) -> None:
     """Add every weighted reduced form (a, b, c) with lo <= 4ac - b^2 <= hi
-    into h, which is indexed by discriminant.
+    into the window h, where h[i] holds the discriminant d = lo + i.
 
     For each a and 0 <= b <= a, c = a is the head term at d = 4a^2 - b^2
     (weight 6, 4 or 12 in units of 1/12), and c > a is a tail with weight 12
@@ -119,8 +120,8 @@ def _sieve_range(h: np.ndarray, lo: int, hi: int) -> None:
             last = np.minimum(-(-b * b // step), (hi - d0) // step)
             runs = np.maximum(last - first + 1, 0)
             run0 = d0 + step * (first - np.cumsum(runs) + runs)
-            pos = np.repeat(run0, runs) + step * np.arange(runs.sum())
-            np.add.at(h, np.concatenate((d0[keep], pos)),
+            pos = np.repeat(run0, runs) + np.arange(-lo, step * runs.sum() - lo, step)
+            np.add.at(h, np.concatenate((d0[keep] - lo, pos)),
                       np.concatenate((head[keep], np.repeat(tail, runs))))
         start = a * a + a
         if 4 * start > hi:
@@ -130,8 +131,8 @@ def _sieve_range(h: np.ndarray, lo: int, hi: int) -> None:
         pattern = pattern.astype(np.int32)
         _add_periodic(E, e0, start, pattern[:a])
         _add_periodic(O, o0, start, pattern[a:])
-    h[4 * e0 : hi + 1 : 4] += E
-    h[4 * o0 + 3 : hi + 1 : 4] += O
+    h[4 * e0 - lo : hi + 1 - lo : 4] += E
+    h[4 * o0 + 3 - lo : hi + 1 - lo : 4] += O
 
 
 class HurwitzTable:
@@ -152,7 +153,7 @@ class HurwitzTable:
         else:
             lo = min(base.limit, limit) + 1
             h[:lo] = base.h12[:lo]
-        _sieve_range(h, lo, limit)
+        _sieve_range(h[lo:], lo, limit)
         self.h12 = h
 
     def value(self, d: int) -> Fraction:
@@ -174,17 +175,17 @@ def ensure_table(limit: int) -> HurwitzTable:
 
 
 def hurwitz_H(d: int) -> Fraction:
-    """Hurwitz class number H(d), from the shared table when it covers d."""
+    """Hurwitz class number H(d): from the shared table, grown when needed,
+    up to 2*10^5 or its limit, and past that from the sieve's window [d, d]."""
     if d < 0 or d % 4 in (1, 2):
         return Fraction(0)
-    if d <= _table.limit:
-        return _table.value(d)
-    if d <= 200_000:
-        return ensure_table(max(d, 50_000)).value(d)
+    if d <= max(_table.limit, 200_000):
+        return ensure_table(d).value(d)
     if d > _TABLE_HARD_LIMIT:
-        # hurwitz_direct takes about 2 s at the limit and grows like d
         raise ValueError(f"d = {d} exceeds the class-number cap {_TABLE_HARD_LIMIT}")
-    return hurwitz_direct(d)
+    h = np.zeros(1, dtype=np.int64)
+    _sieve_range(h, d, d)
+    return Fraction(int(h[0]), 12)
 
 
 @lru_cache(maxsize=1 << 15)

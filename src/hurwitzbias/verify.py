@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import factorize, odd_part, primes_upto
+from .arith import factorize, primes_upto
 from .bias import (
     A1_chars,
     A1_closed,
@@ -29,6 +29,7 @@ from .bias import (
     _a1_ratios,
     density_scan,
     empirical_A1,
+    sign_rules,
 )
 from .characters import gauss_quad_closed, gauss_quad_direct
 from .eisenstein import residual_series
@@ -223,38 +224,24 @@ def suite_bias_routes(rep: VerifySuiteReport) -> None:
 
 
 def suite_signs(rep: VerifySuiteReport) -> None:
-    """The four sign classifications, scanned over their full ranges."""
-    # the first moment average vanishes exactly when there is no congruence
+    """A1 is zero exactly at M = 1; each shipped sign rule (sign_rules), the
+    one `bias --format json` prints as predicted_sign, is scanned over its
+    full range against the sign of the closed form."""
     for M in range(1, 501):
         ok = all((A1_closed(m, M) == 0) == (M == 1) for m in range(1, M + 1))
         rep.check(ok, f"zero iff M=1, M={M}", True, ok)
-    # odd prime power modulus: positive exactly next to the identity classes
-    for M in range(3, 344, 2):
-        fac = factorize(M)
-        if len(fac) != 1:
-            continue
-        p = fac[0][0]
-        for m in range(1, M + 1):
-            v = A1_closed(m, M)
-            want_pos = m % p in (1, p - 1)
-            rep.check((v > 0) == want_pos and v != 0,
-                      f"odd prime power m={m} M={M}", want_pos, v)
-    # modulus divisible by six: negative exactly on the near-identity classes
-    for M in range(6, 301, 6):
-        for m in range(1, M + 1):
-            v = A1_closed(m, M)
-            want_neg = math.gcd(m - 1, M) == 1 or math.gcd(m + 1, M) == 1
-            rep.check((v < 0) == want_neg and v != 0,
-                      f"six divides M, m={m} M={M}", want_neg, v)
-    # second moment average: negative exactly on odd-part units
-    for M in range(3, 201):
-        if M % 4 == 0:
-            continue
-        for m in range(1, M + 1):
-            v = A2_closed(m, M)
-            want_neg = math.gcd(m, odd_part(M)) == 1
-            rep.check(v != 0 and (v < 0) == want_neg,
-                      f"A2 sign m={m} M={M}", want_neg, v)
+    scans = (
+        ("odd prime power modulus", "odd prime power", A1_closed,
+         [M for M in range(3, 344, 2) if len(factorize(M)) == 1]),
+        ("modulus divisible by six", "six divides M,", A1_closed, range(6, 301, 6)),
+        ("odd-part coprimality", "A2 sign", A2_closed, [M for M in range(3, 201) if M % 4]),
+    )
+    for rule, label, closed, moduli in scans:
+        for M in moduli:
+            for m in range(1, M + 1):
+                v = closed(m, M)
+                want = next((s.sign for s in sign_rules(m, M) if s.rule == rule), None)
+                rep.check((v > 0) - (v < 0) == want, f"{label} m={m} M={M}", want, v)
 
 
 # Exact (positive, zero, negative) counts of A1's sign over 1 <= m <= M <= X.

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hurwitzbias import hurwitz
 from hurwitzbias.arith import primes_upto
 from hurwitzbias.hurwitz import (
     _TABLE_HARD_LIMIT,
     HurwitzTable,
+    _sieve_range,
     cusp_coefficient,
     ensure_table,
     hurwitz_H,
@@ -45,13 +48,22 @@ KNOWN_H = {
 }
 
 
-def test_hurwitz_known_values():
+def test_hurwitz_known_values(monkeypatch):
     for d, v in KNOWN_H.items():
         assert hurwitz_direct(d) == v
         assert hurwitz_H(d) == v
     assert hurwitz_H(-4) == 0
     assert hurwitz_direct(13) == 0
     assert hurwitz_direct(14) == 0
+    # past 2 * 10^5 and past the shared table, which earlier tests may have
+    # grown, hurwitz_H sieves the one-discriminant window [d, d]
+    monkeypatch.setattr(hurwitz, "_table", HurwitzTable(0))
+    assert hurwitz_H(200_003) == 129
+    assert hurwitz_H(4_000_003) == 248
+    rng = random.Random(2024)
+    for d in sorted(4 * rng.randrange(50_001, 250_001) - rng.randrange(2) for _ in range(20)):
+        assert hurwitz_H(d) == hurwitz_direct(d), d
+    assert hurwitz._table.limit == 0
 
 
 def test_table_matches_direct():
@@ -107,6 +119,11 @@ def test_table_grows_in_a_chain():
         assert np.array_equal(table.h12, HurwitzTable(limit).h12), limit
     for d in range(7002):
         assert table.value(d) == hurwitz_direct(d), d
+    # a window h[i] = 12 H(lo + i) with ends mid-period, and single points
+    for lo, hi in ((2501, 7001), (999, 1003), (1, 1), (3, 3), (2503, 2503), (7000, 7000)):
+        window = np.zeros(hi - lo + 1, dtype=np.int64)
+        _sieve_range(window, lo, hi)
+        assert np.array_equal(window, table.h12[lo : hi + 1]), (lo, hi)
 
 
 def test_ensure_table_grows():
