@@ -25,7 +25,7 @@ from .bias import (
 from .eisenstein import (
     cusp_residual_0,
     main_term,
-    residual_series,
+    residual_rows,
 )
 from .frobenius import (
     S_direct,
@@ -68,7 +68,7 @@ __all__ = [
     "main_term",
     "moment_H",
     "moment_via_reduction",
-    "residual_series",
+    "residual_rows",
     "run_suite",
     "run_suites",
     "sign_rules",

@@ -161,9 +161,11 @@ def A1_closed(m: int, M: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _a1_summand(m: int, M: int, x: int) -> float:
-    """The F_p bias at a unit x mod M: half the leading sum less the indicator."""
-    return (leading_sum(m, M, x, 1) - delta_star(x, m, M)) / 2
+def _a1_summands(m: int, M: int) -> dict[int, float]:
+    """The F_p bias at each unit x mod M, keyed by x % M in increasing x:
+    half the leading sum less the indicator."""
+    return {x % M: (leading_sum(m, M, x, 1) - delta_star(x, m, M)) / 2
+            for x in range(1, M + 1) if math.gcd(x, M) == 1}
 
 
 def A1_chars(m: int, M: int) -> float:
@@ -178,22 +180,21 @@ def A1_chars(m: int, M: int) -> float:
     if M < 1:
         raise ValueError("M must be >= 1")
     total = 0.0
-    for x in range(1, M + 1):
-        if math.gcd(x, M) != 1:
-            continue
-        total += _a1_summand(m, M, x)
+    for value in _a1_summands(m, M).values():
+        total += value
     return total / euler_phi(M)
 
 
-def _unit_halvings(m: int, M: int) -> int:
-    """Number of units x mod M with 2x = m (mod M)."""
-    m = m % M
+def _epsilon_units(m: int, M: int) -> int:
+    """2 * #{units x mod M: 2x = m (mod M)} + [gcd(m, M) = 1]."""
+    m %= M
+    unit = int(math.gcd(m, M) == 1)
     if M % 2 == 1:
-        return 1 if math.gcd(m, M) == 1 else 0
+        return 3 * unit  # x = m/2 is a unit exactly when m is
     if m % 2 == 1:
-        return 0
+        return unit
     half = m // 2
-    return sum(1 for x in (half, half + M // 2) if math.gcd(x, M) == 1)
+    return 2 * sum(1 for x in (half, half + M // 2) if math.gcd(x, M) == 1) + unit
 
 
 def epsilon_mM(m: int, M: int) -> Fraction:
@@ -202,9 +203,7 @@ def epsilon_mM(m: int, M: int) -> Fraction:
     Derived by resolving the two indicator sums against the t = +-1, +-2
     boundary moments: -(2/3) * (2 * #{units x: 2x = m} + [gcd(m, M) = 1]).
     """
-    return Fraction(-2, 3) * (
-        2 * _unit_halvings(m, M) + (1 if math.gcd(m, M) == 1 else 0)
-    )
+    return Fraction(-2, 3) * _epsilon_units(m, M)
 
 
 def A2_closed(m: int, M: int) -> float:
@@ -242,7 +241,7 @@ def A2_closed(m: int, M: int) -> float:
             num *= p - 1 - c if m % p else p - 1
             den *= (p - 1) * (p - c) * q
     # epsilon_mM / (2 phi) = -units / (3 phi)
-    units = 2 * _unit_halvings(m, M) + (math.gcd(m, M) == 1)
+    units = _epsilon_units(m, M)
     return (3 * phi * num - units * den) / (3 * phi * den)
 
 
@@ -278,8 +277,8 @@ def sign_rules(m: int, M: int) -> tuple[SignPrediction, ...]:
     out = []
     if M == 1:
         out.append(SignPrediction("A1", "full interval is unbiased", 0))
-    fac = factorize(M) if M > 1 else ()
-    if M > 1 and M % 2 == 1 and len(fac) == 1:
+    fac = factorize(M)
+    if M % 2 == 1 and len(fac) == 1:
         p = fac[0][0]
         positive = m % p in (1, p - 1)
         out.append(
@@ -365,10 +364,7 @@ def empirical_A1(m: int, M: int, X: int) -> float:
         raise ValueError("X must be >= 2")
     if X > _X_CAP:
         raise ValueError(f"X = {X} exceeds the prime-sieve cap {_X_CAP}")
-    summand = {}
-    for x in range(1, M + 1):
-        if math.gcd(x, M) == 1:
-            summand[x % M] = _a1_summand(m, M, x)
+    summand = _a1_summands(m, M)
     total = 0.0
     count = 0
     for p in primes_upto(X):

@@ -289,9 +289,10 @@ def gauss_quad_direct(a: int, b: int, c: int) -> complex:
     """Sum of e((a x^2 + b x)/c) over x mod c, by direct summation."""
     if c < 1:
         raise ValueError("modulus must be positive")
+    roots = root_values(c)
     total = 0j
     for x in range(c):
-        total += cmath.exp(TWO_PI * 1j * ((a * x * x + b * x) % c) / c)
+        total += roots[(a * x * x + b * x) % c]
     return total
 
 

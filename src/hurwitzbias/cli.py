@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bias import DensityReport, a1_class_table, bias_result, empirical_A1
-from .eisenstein import build_expansion, main_term, reduce_residue
+from .eisenstein import build_expansion, main_term, reduce_residue, residual_rows
 from .frobenius import S_via_moments
 from .hurwitz import _TABLE_HARD_LIMIT, ensure_table, hurwitz_H, lambda_moment, moment_H
 from .verify import SUITES, run_suites
@@ -87,17 +87,6 @@ RESIDUAL_COLUMNS = ("n", "moment", "lambda", "main_term", "residual")
 RESIDUAL_N_CAP = _TABLE_HARD_LIMIT // 4
 
 
-def _residual_rows(m: int, M: int, max_n: int):
-    m = reduce_residue(m, M)
-    for n in range(1, max_n + 1):
-        mom = moment_H(0, m, M, n)
-        lam = lambda_moment(0, m, M, n)
-        main = main_term(m, M, n)
-        # the same arithmetic as cusp_residual_0, from the values already in hand
-        residual = float(mom + lam) - main
-        yield (str(n), _fmt(mom), _fmt(lam), _fmt(main), _fmt(residual))
-
-
 def _emit_csv(stream, header, lines) -> None:
     stream.write(",".join(header) + "\n")
     for line in lines:
@@ -120,14 +109,14 @@ def _cmd_residual(args) -> int:
     # a bad class fails before the first line is written: M, and the
     # character cap, which building the main term's expansion enforces
     build_expansion(reduce_residue(args.m, args.M), args.M)
-    rows = _residual_rows(args.m, args.M, args.max_n)
+    rows = (list(map(_fmt, row)) for row in residual_rows(args.m, args.M, args.max_n))
     lines = (",".join(row) for row in rows)
     if args.out:
         _write_csv(args.out, RESIDUAL_COLUMNS, lines)
         print(f"wrote {args.max_n} rows to {args.out}")
     elif args.format == "json":
         payload = {"columns": list(RESIDUAL_COLUMNS),
-                   "rows": [list(r) for r in rows]}
+                   "rows": list(rows)}
         print(_canonical_json(payload))
     else:
         _emit_csv(sys.stdout, RESIDUAL_COLUMNS, lines)

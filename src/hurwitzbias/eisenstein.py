@@ -11,7 +11,8 @@ characters.star_char).
 A main term at n is evaluated from one divisor list of n: every term (eta,
 d) with d | n sums over the divisors of n that divide n/d, through the one
 twisted-sum loop that sigma_twisted uses too. Each eta's kernel (modulus,
-char_table entries, root_values) is resolved when the expansion is built.
+char_table entries, root_values) is resolved once per expansion, when it is
+first evaluated.
 The sums run in ascending divisor order and the terms in build order, so
 every main term keeps its bits; residual CSVs print them as %.12g, and the
 float noise of a zero-class residual shows in its last digits.
@@ -20,9 +21,10 @@ float noise of a zero-class residual shows in its last digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import (
     divisors,
@@ -259,18 +261,17 @@ class MainTermExpansion:
     """Immutable expansion of the zeroth-moment main term for one class m (M).
 
     Each term (eta, d, coeff) stands for coeff * sigma_twisted(eta, n/d) at
-    d | n. Each eta's twisted-sum kernel is resolved once, here.
+    d | n. Each eta's twisted-sum kernel is resolved once, at the first evaluation.
     """
 
     m: int
     M: int
     prefactor: Fraction
     terms: tuple[tuple[DirichletCharacter, int, complex], ...]
-    _kernels: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        kernels = tuple((_kernel(eta), d, coeff) for eta, d, coeff in self.terms)
-        object.__setattr__(self, "_kernels", kernels)
+    @cached_property
+    def _kernels(self) -> tuple:
+        return tuple((_kernel(eta), d, coeff) for eta, d, coeff in self.terms)
 
     def evaluate(self, n: int) -> float:
         """The main term at n: every term's twisted sum over one divisor list of n.
@@ -315,29 +316,26 @@ def main_term(m: int, M: int, n: int) -> float:
     return build_expansion(reduce_residue(m, M), M).evaluate(n)
 
 
+def _residual_row(m: int, M: int, n: int) -> tuple[int, Fraction, Fraction, float, float]:
+    moment = moment_H(0, m, M, n)
+    lam = lambda_moment(0, m, M, n)
+    main = main_term(m, M, n)
+    return n, moment, lam, main, float(moment + lam) - main
+
+
 def cusp_residual_0(m: int, M: int, n: int) -> float:
     """Coefficient of the weight-2 cusp component: moment + divisor sum - main term."""
-    exact = moment_H(0, m, M, n) + lambda_moment(0, m, M, n)
-    return float(exact) - main_term(m, M, n)
+    return _residual_row(m, M, n)[-1]
 
 
-@dataclass(frozen=True)
-class ResidualSeries:
-    m: int
-    M: int
-    values: tuple[float, ...]
-
-    def value(self, n: int) -> float:
-        if not 1 <= n <= len(self.values):
-            raise IndexError(f"series covers n = 1..{len(self.values)}")
-        return self.values[n - 1]
-
-
-def residual_series(m: int, M: int, n_max: int) -> ResidualSeries:
-    """Cusp residuals for n = 1..n_max as a dense series."""
+def residual_rows(
+    m: int, M: int, n_max: int
+) -> Iterator[tuple[int, Fraction, Fraction, float, float]]:
+    """Rows (n, moment, lambda, main term, residual) for n = 1..n_max, each
+    computed as it is read; residual is cusp_residual_0 at n.  M < 1 or m = 0
+    raises here, before any row."""
     m = reduce_residue(m, M)
-    vals = tuple(cusp_residual_0(m, M, n) for n in range(1, n_max + 1))
-    return ResidualSeries(m, M, vals)
+    return (_residual_row(m, M, n) for n in range(1, n_max + 1))
 
 
 @lru_cache(maxsize=1 << 12)

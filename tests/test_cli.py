@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hurwitzbias import cli, verify
+from hurwitzbias import cli, eisenstein, verify
 from hurwitzbias.bias import A1_closed, density_scan
 from hurwitzbias.cli import build_parser, main
 
@@ -76,14 +76,14 @@ def test_residual_csv_file(tmp_path, capsys, monkeypatch):
     assert abs(float(lines[1].split(",")[4])) > 1e-3
     # rows are written as they are computed: a failure at n = 3 exits 2
     # with its message and leaves the rows before it in the file
-    main_term = cli.main_term
+    main_term = eisenstein.main_term
 
     def failing(m, M, n):
         if n == 3:
             raise ArithmeticError("main term at n=3 strayed off the real axis")
         return main_term(m, M, n)
 
-    monkeypatch.setattr(cli, "main_term", failing)
+    monkeypatch.setattr(eisenstein, "main_term", failing)
     assert run(capsys, "residual", "--m", "1", "--M", "6", "--max-n", "4",
                "--out", str(target)) \
         == (2, "", "error: main term at n=3 strayed off the real axis\n")

@@ -27,7 +27,7 @@ from hurwitzbias.eisenstein import (
     prefactor,
     psi,
     reduce_residue,
-    residual_series,
+    residual_rows,
     sigma_twisted,
 )
 from hurwitzbias.hurwitz import lambda_moment, moment_H
@@ -223,25 +223,23 @@ ZERO_CLASSES += [(2, 8), (6, 8)]
 
 def test_residual_vanishes_on_zero_classes():
     for m, M in ZERO_CLASSES:
-        series = residual_series(m, M, 200)
-        worst = max(abs(v) for v in series.values)
+        worst = max(abs(row[-1]) for row in residual_rows(m, M, 200))
         assert worst < 1e-8, (m, M, worst)
 
 
 def test_residual_nonzero_elsewhere():
     for m, M in [(1, 6), (1, 7), (3, 8), (1, 9)]:
-        series = residual_series(m, M, 100)
-        assert max(abs(v) for v in series.values) > 1e-3, (m, M)
+        assert max(abs(row[-1]) for row in residual_rows(m, M, 100)) > 1e-3, (m, M)
 
 
 def test_residual_series_matches_pointwise():
-    series = residual_series(3, 7, 25)
-    for n in range(1, 26):
-        assert series.value(n) == pytest.approx(cusp_residual_0(3, 7, n), abs=1e-12)
-    with pytest.raises(IndexError):
-        series.value(0)
-    with pytest.raises(IndexError):
-        series.value(26)
+    rows = list(residual_rows(3, 7, 25))
+    assert [row[0] for row in rows] == list(range(1, 26))
+    for n, moment, lam, main, residual in rows:
+        assert moment == moment_H(0, 3, 7, n)
+        assert lam == lambda_moment(0, 3, 7, n)
+        assert main == main_term(3, 7, n)
+        assert residual == cusp_residual_0(3, 7, n)
 
 
 def test_main_term_is_real_on_wide_grid():
@@ -351,10 +349,9 @@ def test_residual_growth_stays_cusp_like():
     # past twice the ratio seen on n <= 200.
     for M in range(1, 9):
         for m in range(1, M + 1):
-            series = residual_series(m, M, 2000)
             ratios = [
-                abs(series.value(n)) / (len(divisors(n)) * math.sqrt(n))
-                for n in range(1, 2001)
+                abs(residual) / (len(divisors(n)) * math.sqrt(n))
+                for n, *_, residual in residual_rows(m, M, 2000)
             ]
             head = max(ratios[:200])
             if head < 1e-9:
