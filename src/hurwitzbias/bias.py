@@ -66,12 +66,8 @@ def _a1_ratios(M: int, ms: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     where d counts which of m - 1, m + 1 are units mod M.
     """
     primes = [p for p, _ in factorize(M)]
-    full = 1
-    phi = M
-    for p in primes:
-        full *= p * p - 1
-        phi = phi // p * (p - 1)
-    den = 2 * phi * full
+    full = math.prod(p * p - 1 for p in primes)
+    den = 2 * euler_phi(M) * full
     for m in ms:
         lead = 2
         for p in primes:
@@ -129,11 +125,8 @@ def a1_class_table(M: int) -> A1ClassTable:
     primes = tuple(p for p, _ in factorize(M))
     # one (lead, count, some p has m = 1, some p has m = -1) per class vector
     classes = [(2, M // math.prod(primes), False, False)]
-    full = 1
-    phi = M
+    full = math.prod(p * p - 1 for p in primes)
     for p in primes:
-        full *= p * p - 1
-        phi = phi // p * (p - 1)
         unit = p * p - p - 1
         # (factor of lead, residues mod p, m = 1, m = -1) for digits 0, 1, 2, 3
         options = [(unit + 1, 1, False, False), (unit, 1, True, p == 2)]
@@ -147,7 +140,7 @@ def a1_class_table(M: int) -> A1ClassTable:
     return A1ClassTable(
         M=M,
         primes=primes,
-        den=2 * phi * full,
+        den=2 * euler_phi(M) * full,
         nums=tuple(lead - ((not plus) + (not minus)) * full
                    for lead, _, plus, minus in classes),
         counts=tuple(count for _, count, _, _ in classes),
@@ -226,10 +219,9 @@ def A2_closed(m: int, M: int) -> float:
     if M < 3:
         raise ValueError("M must be >= 3")
     m = reduce_residue(m, M)
-    num = den = phi = 1
+    num = den = 1
     for p, a in factorize(M):
         q = p ** (a - 1)
-        phi *= (p - 1) * q
         if p == 2 and a == 1:
             num *= 2 - m % 2
             den *= 3
@@ -242,6 +234,7 @@ def A2_closed(m: int, M: int) -> float:
             den *= (p - 1) * (p - c) * q
     # epsilon_mM / (2 phi) = -units / (3 phi)
     units = _epsilon_units(m, M)
+    phi = euler_phi(M)
     return (3 * phi * num - units * den) / (3 * phi * den)
 
 
@@ -299,9 +292,6 @@ def sign_rules(m: int, M: int) -> tuple[SignPrediction, ...]:
 
 @dataclass(frozen=True)
 class BiasResult:
-    quantity: str
-    m: int
-    M: int
     value: Fraction | float
     predicted_sign: int | None
 
@@ -317,12 +307,11 @@ def bias_result(quantity: str, m: int, M: int, route: str = "closed") -> BiasRes
         value = A2_closed(m, M) if route == "closed" else A2_chars(m, M)
     wanted = "A1" if quantity == "a1" else "A2"
     predicted = next((s.sign for s in sign_rules(m, M) if s.quantity == wanted), None)
-    return BiasResult(quantity=quantity, m=m, M=M, value=value, predicted_sign=predicted)
+    return BiasResult(value=value, predicted_sign=predicted)
 
 
 @dataclass(frozen=True)
 class DensityReport:
-    X: int
     positive: int
     zero: int
     negative: int
@@ -353,7 +342,7 @@ def density_scan(X: int) -> DensityReport:
         table = a1_class_table(M)
         for num, count in zip(table.nums, table.counts):
             counts[(num > 0) - (num < 0) + 1] += count
-    return DensityReport(X=X, positive=counts[2], zero=counts[1], negative=counts[0])
+    return DensityReport(positive=counts[2], zero=counts[1], negative=counts[0])
 
 
 def empirical_A1(m: int, M: int, X: int) -> float:

@@ -64,26 +64,22 @@ def root_values(L: int) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class LocalUnitGroup:
-    """Generators, their orders, and a discrete-log table for (Z/p^e)^*."""
+    """The generator orders and a discrete-log table for (Z/p^e)^*."""
 
-    prime: int
-    exp: int
-    gens: tuple[int, ...]
     orders: tuple[int, ...]
     dlog: dict
-
-    def __hash__(self):
-        return hash((self.prime, self.exp))
 
 
 @lru_cache(maxsize=1 << 10)
 def local_unit_group(p: int, e: int) -> LocalUnitGroup:
+    """(Z/p^e)^* on fixed generators: none at 2, -1 at 4, -1 and 5 at 2^e
+    with e >= 3, and the least primitive root mod p^e at odd p."""
     q = p**e
     if p == 2:
         if e == 1:
-            return LocalUnitGroup(2, 1, (), (), {1: ()})
+            return LocalUnitGroup((), {1: ()})
         if e == 2:
-            return LocalUnitGroup(2, 2, (3,), (2,), {1: (0,), 3: (1,)})
+            return LocalUnitGroup((2,), {1: (0,), 3: (1,)})
         half = 2 ** (e - 2)
         table = {}
         x = 1
@@ -93,7 +89,7 @@ def local_unit_group(p: int, e: int) -> LocalUnitGroup:
                 table[y] = (a, b)
                 y = y * 5 % q
             x = q - 1
-        return LocalUnitGroup(2, e, (q - 1, 5), (2, half), table)
+        return LocalUnitGroup((2, half), table)
     phi = q // p * (p - 1)
     g = 2
     while True:
@@ -111,7 +107,7 @@ def local_unit_group(p: int, e: int) -> LocalUnitGroup:
     for i in range(phi):
         table[y] = (i,)
         y = y * g % q
-    return LocalUnitGroup(p, e, (g,), (phi,), table)
+    return LocalUnitGroup((phi,), table)
 
 
 @dataclass(frozen=True)
@@ -181,7 +177,7 @@ def enumerate_chars(modulus: int) -> list[DirichletCharacter]:
         parts = []
         i = 0
         for p, e, group in groups:
-            k = len(group.gens)
+            k = len(group.orders)
             parts.append((p, e, combo[i : i + k]))
             i += k
         out.append(_mk_char(parts))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bias import DensityReport, a1_class_table, bias_result, empirical_A1
-from .eisenstein import build_expansion, main_term, reduce_residue, residual_rows
+from .eisenstein import main_term, residual_rows
 from .frobenius import S_via_moments
 from .hurwitz import _TABLE_HARD_LIMIT, ensure_table, hurwitz_H, lambda_moment, moment_H
 from .verify import SUITES, run_suites
@@ -106,9 +106,8 @@ def _cmd_residual(args) -> int:
         raise ValueError("--max-n must be >= 1")
     if args.max_n > RESIDUAL_N_CAP:
         raise ValueError(f"--max-n must be <= {RESIDUAL_N_CAP}")
-    # a bad class fails before the first line is written: M, and the
-    # character cap, which building the main term's expansion enforces
-    build_expansion(reduce_residue(args.m, args.M), args.M)
+    # residual_rows checks the class, the character cap included, when it is
+    # called here, so a bad class fails before the first line is written
     rows = (list(map(_fmt, row)) for row in residual_rows(args.m, args.M, args.max_n))
     lines = (",".join(row) for row in rows)
     if args.out:
@@ -159,8 +158,7 @@ def _cmd_scan(args) -> int:
         _write_csv(args.out, SCAN_COLUMNS, blocks())
     else:
         _emit_csv(sys.stdout, SCAN_COLUMNS, blocks())
-    report = DensityReport(X=args.X, positive=counts[2], zero=counts[1],
-                           negative=counts[0])
+    report = DensityReport(positive=counts[2], zero=counts[1], negative=counts[0])
     summary = (f"pairs {report.pairs} positive {report.positive_fraction:.4f} "
                f"negative {report.negative_fraction:.4f} "
                f"zero {report.zero_fraction:.4f}")

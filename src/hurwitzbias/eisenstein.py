@@ -75,15 +75,13 @@ def in_S(eta: DirichletCharacter, m: int, M: int, d: int) -> bool:
     Checks the three local conditions (split by whether p divides the
     quadratic or the non-quadratic part of the conductor) at every p | M.
     """
-    if m == 0:
-        raise ValueError("the residue m = 0 is excluded")
+    m = reduce_residue(m, M)
     n_eta = eta.modulus
     if M % n_eta:
         raise ValueError("conductor must divide the progression modulus")
     big = (M // n_eta) ** 2
     if d < 1 or big % d:
         raise ValueError("d must divide M^2 / N_eta^2")
-    m = reduce_residue(m, M)
     hat, _ = quad_decomp(eta)
     for p, _ in factorize(M):
         d_p = p_part(d, p)
@@ -264,8 +262,6 @@ class MainTermExpansion:
     d | n. Each eta's twisted-sum kernel is resolved once, at the first evaluation.
     """
 
-    m: int
-    M: int
     prefactor: Fraction
     terms: tuple[tuple[DirichletCharacter, int, complex], ...]
 
@@ -306,7 +302,7 @@ def build_expansion(m: int, M: int) -> MainTermExpansion:
             for d in divisors(quot2):
                 if in_S(eta, m, M, d):
                     terms.append((eta, d, coeff_a(eta, d, m, M)))
-    return MainTermExpansion(m, M, prefactor(M), tuple(terms))
+    return MainTermExpansion(prefactor(M), tuple(terms))
 
 
 def main_term(m: int, M: int, n: int) -> float:
@@ -332,9 +328,11 @@ def residual_rows(
     m: int, M: int, n_max: int
 ) -> Iterator[tuple[int, Fraction, Fraction, float, float]]:
     """Rows (n, moment, lambda, main term, residual) for n = 1..n_max, each
-    computed as it is read; residual is cusp_residual_0 at n.  M < 1 or m = 0
-    raises here, before any row."""
+    computed as it is read; residual is cusp_residual_0 at n.  A bad class
+    raises here, before any row: M < 1, m = 0, or an M whose main term
+    passes the character cap."""
     m = reduce_residue(m, M)
+    build_expansion(m, M)
     return (_residual_row(m, M, n) for n in range(1, n_max + 1))
 
 

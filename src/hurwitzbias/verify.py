@@ -35,7 +35,6 @@ from .characters import gauss_quad_closed, gauss_quad_direct
 from .eisenstein import residual_rows
 from .frobenius import S_direct, S_via_moments, trace_mass_table
 from .hurwitz import (
-    ensure_table,
     lambda_moment,
     moment_H,
     moment_via_reduction,
@@ -78,7 +77,6 @@ class VerifySuiteReport:
 
 def suite_kronecker_hurwitz(rep: VerifySuiteReport) -> None:
     """Class numbers summed over a full trace column equal 2p, p < 1000."""
-    ensure_table(4 * 997)
     for p in primes_upto(999):
         got = moment_H(0, 1, 1, p)
         rep.check(got == 2 * p, f"p={p}", 2 * p, got)
@@ -86,7 +84,6 @@ def suite_kronecker_hurwitz(rep: VerifySuiteReport) -> None:
 
 def suite_progressions(rep: VerifySuiteReport) -> None:
     """Parity-split zeroth moments at odd primes match their closed forms."""
-    ensure_table(4 * 997)
     for p in primes_upto(999):
         if p == 2:
             continue

@@ -112,6 +112,23 @@ def digitwise_expo(chi, x):
     return expo % 1
 
 
+def test_local_generators():
+    # star_char, phi2 and _local_conductor read exponents on these generators:
+    # -1 at 4, -1 and 5 at 2^e with e >= 3, the least primitive root at odd p^e
+    assert local_unit_group(2, 2).dlog[3] == (1,)
+    for e in range(3, 11):
+        dlog = local_unit_group(2, e).dlog
+        assert dlog[2**e - 1] == (1, 0) and dlog[5] == (0, 1), e
+    for p in (3, 5, 7, 11, 13, 23, 29, 31, 37, 41, 43):
+        for e in range(1, 4):
+            q = p**e
+            if q > 5000:
+                continue
+            g = next(g for g in range(2, q)
+                     if len({pow(g, i, q) for i in range(euler_phi(q))}) == euler_phi(q))
+            assert local_unit_group(p, e).dlog[g] == (1,), (p, e)
+
+
 def test_char_eval_matches_digitwise_sum():
     for m in range(1, 151):
         for chi in enumerate_chars(m):

@@ -24,6 +24,7 @@ from hurwitzbias.hurwitz import (
     reduction_coefficient_rec,
     reduction_identity_sum,
 )
+from hurwitzbias.verify import run_suite
 
 KNOWN_H = {
     0: Fraction(-1, 12),
@@ -64,6 +65,17 @@ def test_hurwitz_known_values(monkeypatch):
     for d in sorted(4 * rng.randrange(50_001, 250_001) - rng.randrange(2) for _ in range(20)):
         assert hurwitz_H(d) == hurwitz_direct(d), d
     assert hurwitz._table.limit == 0
+
+
+def test_moment_suites_grow_the_table_themselves(monkeypatch):
+    # moment_H grows the shared table as it needs, so the suites that read it
+    # pass from an empty table with the same number of checks
+    for name, checks in (("kronecker-hurwitz", 169), ("progressions", 334)):
+        monkeypatch.setattr(hurwitz, "_table", HurwitzTable(0))
+        moment_H.cache_clear()
+        report = run_suite(name)
+        assert report.passed and report.checks == checks, report.summary()
+        assert hurwitz._table.limit >= 4 * 997
 
 
 def test_table_matches_direct():
