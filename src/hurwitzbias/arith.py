@@ -59,7 +59,14 @@ def _pollard_rho(n: int) -> int:
 
 @lru_cache(maxsize=1 << 12)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Ascending (prime, exponent) pairs of n >= 1 (trial division, then Pollard rho)."""
+    """Ascending (prime, exponent) pairs of n >= 1.
+
+    Trial division runs over a 2-3-5 wheel while p * p <= n and p < 100000.
+    When it ends because p * p > n, the cofactor left (if > 1) has no prime
+    factor up to its square root, so it is prime and is recorded as found.
+    Only when the loop stops at the 100000 bound does the cofactor go to
+    the Miller-Rabin test and, if composite, to Pollard rho.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n >> 63:
@@ -78,7 +85,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             n //= p
         p += wheel[i]
         i = (i + 1) % 8
-    stack = [n] if n > 1 else []
+    if p * p > n:
+        if n > 1:
+            found[n] = 1
+        return tuple(sorted(found.items()))
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

@@ -68,17 +68,32 @@ def _add_value_command(sub, name, help, compute, *inputs) -> None:
     p.set_defaults(func=_cmd_value, compute=compute, inputs=inputs)
 
 
+# hurwitz-table rows are read from the table and written this many at a time
+_TABLE_BLOCK = 1 << 14
+
+
 def _cmd_hurwitz_table(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be >= 0")
-    table = ensure_table(args.max)
+    h12 = ensure_table(args.max).h12
+    texts: dict[int, str] = {}  # 12H -> H as _fmt prints it, each formatted once
+
+    def blocks():
+        for lo in range(0, args.max + 1, _TABLE_BLOCK):
+            values = h12[lo:min(lo + _TABLE_BLOCK, args.max + 1)].tolist()
+            for v in set(values).difference(texts):
+                texts[v] = _fmt(Fraction(v, 12))
+            yield lo, [texts[v] for v in values]
+
     if args.format == "json":
-        payload = {"max": args.max,
-                   "values": {str(d): _fmt(table.value(d)) for d in range(args.max + 1)}}
-        print(_canonical_json(payload))
+        values = {}
+        for lo, block in blocks():
+            values.update(zip(map(str, range(lo, lo + len(block))), block))
+        print(_canonical_json({"max": args.max, "values": values}))
     else:
-        for d in range(args.max + 1):
-            print(f"{d} {_fmt(table.value(d))}")
+        for lo, block in blocks():
+            sys.stdout.write("".join(
+                [f"{d} {text}\n" for d, text in zip(range(lo, lo + len(block)), block)]))
     return 0
 
 
@@ -241,9 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser is built once per process; parse_args leaves it unchanged
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, KeyError) as exc:

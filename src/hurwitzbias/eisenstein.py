@@ -13,9 +13,13 @@ d) with d | n sums over the divisors of n that divide n/d, through the one
 twisted-sum loop that sigma_twisted uses too. Each eta's kernel (modulus,
 char_table entries, root_values) is resolved once per expansion, when it is
 first evaluated.
-The sums run in ascending divisor order and the terms in build order, so
-every main term keeps its bits; residual CSVs print them as %.12g, and the
-float noise of a zero-class residual shows in its last digits.
+A Dirichlet character is completely multiplicative, so eta(x) * eta(q/x) =
+eta(q) for every x | q: a twisted sum reads eta(q) once, and is exactly 0j
+when gcd(q, N_eta) > 1, since then every term vanishes.
+The sums still add eta(q) * x over the divisors in ascending order, and the
+terms in build order, so every main term keeps its bits; residual CSVs print
+them as %.12g, and the float noise of a zero-class residual shows in its
+last digits. The closed form eta(q) * sigma(q) would round differently.
 """
 
 from __future__ import annotations
@@ -220,25 +224,25 @@ def _twisted_sum(
 ) -> complex:
     """Sum of x * eta(x) * eta(q/x) over the x in divs that divide q.
 
-    divs is ascending and holds every divisor of q, so the divisors of q are
-    added smallest first whatever else divs holds. Another order would move
-    the last bits of the sum.
+    eta is completely multiplicative, so eta(x) * eta(q/x) = eta(q) for
+    every x | q: the root is read once. If gcd(q, N_eta) > 1 a prime of
+    N_eta divides x or q/x for every x, every term is 0 and the sum is 0j.
+    Otherwise it is eta(q) * x summed over the divisors x of q. divs is
+    ascending and holds every divisor of q, so they are added smallest
+    first whatever else divs holds. The sum is not eta(q) * sigma(q): that
+    product, like another order, would move the last bits of the sum.
     """
     n_eta, e, roots = kernel
-    L = len(roots)
+    k = e[q % n_eta]
+    if k < 0:
+        return 0j
+    root_q = roots[k]
     total = 0j
     for x in divs:
         if x > q:
             break
-        if q % x:
-            continue
-        a = e[q // x % n_eta]
-        if a < 0:
-            continue
-        b = e[x % n_eta]
-        if b < 0:
-            continue
-        total += roots[(a + b) % L] * x
+        if q % x == 0:
+            total += root_q * x
     return total
 
 

@@ -39,7 +39,6 @@ _Q_CAP = 20_000
 class TraceMassTable:
     """Automorphism-weighted curve counts by trace over one finite field."""
 
-    q: int
     p: int
     r: int
     masses: tuple[tuple[int, Fraction], ...]
@@ -165,7 +164,7 @@ def trace_mass_table(q: int) -> TraceMassTable:
     masses = tuple(
         (t, Fraction(cnt, q - 1)) for t, cnt in sorted(tally.items())
     )
-    return TraceMassTable(q=q, p=p, r=r, masses=masses)
+    return TraceMassTable(p=p, r=r, masses=masses)
 
 
 def S_direct(k: int, m: int, M: int, q: int) -> Fraction:

@@ -51,6 +51,54 @@ def test_factorize_roundtrip(n):
     assert primes == sorted(set(primes))
 
 
+def _brute_factorization(limit):
+    """factor[n] for n <= limit, read off a smallest-prime-factor sieve."""
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for k in range(p * p, limit + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    out = [()] * (limit + 1)
+    for n in range(2, limit + 1):
+        p, rest = spf[n], n // spf[n]
+        pairs = list(out[rest])
+        if pairs and pairs[0][0] == p:
+            pairs[0] = (p, pairs[0][1] + 1)
+        else:
+            pairs.insert(0, (p, 1))
+        out[n] = tuple(pairs)
+    return out
+
+
+def test_factorize_matches_brute_force_to_10_5():
+    want = _brute_factorization(10**5)
+    for n in range(1, 10**5 + 1):
+        assert factorize.__wrapped__(n) == want[n], n
+
+
+def _is_prime_by_trial(n):
+    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+def test_factorize_on_both_sides_of_the_trial_bound():
+    # trial division stops when p * p > n, where the cofactor is prime, or at
+    # p = 100000, where Miller-Rabin and, for a composite, Pollard rho run
+    assert _is_prime_by_trial(99991) and _is_prime_by_trial(100003)
+    assert _is_prime_by_trial(10**10 + 19)
+    cases = {
+        99991**2: ((99991, 2),),                        # divided out by the loop
+        99991 * 100003: ((99991, 1), (100003, 1)),      # p * p > cofactor 100003
+        100003**2: ((100003, 2),),                      # Miller-Rabin, then rho
+        2 * 100003**2: ((2, 1), (100003, 2)),
+        2**61 - 1: ((2**61 - 1, 1),),                   # Miller-Rabin says prime
+        10**10 + 19: ((10**10 + 19, 1),),
+        7 * (10**10 + 19): ((7, 1), (10**10 + 19, 1)),
+    }
+    for n, want in cases.items():
+        assert factorize.__wrapped__(n) == want, n
+
+
 def test_factorize_rejects():
     with pytest.raises(ValueError):
         factorize(0)

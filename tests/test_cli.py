@@ -9,6 +9,7 @@ import pytest
 from hurwitzbias import cli, eisenstein, verify
 from hurwitzbias.bias import A1_closed, density_scan
 from hurwitzbias.cli import build_parser, main
+from hurwitzbias.hurwitz import ensure_table
 
 
 def run(capsys, *argv):
@@ -41,6 +42,42 @@ def test_hurwitz_table(capsys):
     code, out, _ = run(capsys, "hurwitz-table", "--max", "4")
     assert code == 0
     assert out.splitlines() == ["0 -1/12", "1 0", "2 0", "3 1/3", "4 1/2"]
+
+
+def test_parser_is_built_once_and_leaks_no_defaults(capsys):
+    # main keeps one parser per process; each call must print what a freshly
+    # built parser prints, whatever flags the call before it set
+    sequence = (
+        ("residual", "--m", "1", "--M", "6", "--max-n", "4", "--format", "json"),
+        ("residual", "--m", "1", "--M", "6", "--max-n", "4"),
+        ("bias", "a1", "--m", "2", "--M", "5", "--route", "chars"),
+        ("bias", "a1", "--m", "2", "--M", "5"),
+    )
+    main(list(sequence[0]))
+    parser = cli._parser
+    capsys.readouterr()
+    for argv in sequence:
+        got = run(capsys, *argv)
+        args = build_parser().parse_args(list(argv))
+        want = (args.func(args), *capsys.readouterr())
+        assert got == want, argv
+        assert cli._parser is parser
+    assert run(capsys, *sequence[1])[1].startswith("n,moment,lambda,main_term,residual\n")
+    assert run(capsys, *sequence[3])[1] == "-5/96\n"
+
+
+def test_hurwitz_table_matches_the_table_row_by_row(capsys):
+    # past one block of rows, in text and in JSON
+    n = cli._TABLE_BLOCK + 100
+    table = ensure_table(n)
+    want = [cli._fmt(table.value(d)) for d in range(n + 1)]
+    code, out, err = run(capsys, "hurwitz-table", "--max", str(n))
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{d} {v}\n" for d, v in enumerate(want))
+    code, out, err = run(capsys, "hurwitz-table", "--max", str(n), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"max": n, "values": {str(d): v for d, v in enumerate(want)}}
+    assert run(capsys, "hurwitz-table", "--max", "0") == (0, "0 -1/12\n", "")
 
 
 def test_json_output_round_trips(capsys):

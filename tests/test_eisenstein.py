@@ -354,6 +354,18 @@ def test_evaluate_is_bit_identical_to_the_per_term_sum():
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (eta, n)
 
 
+def test_sigma_twisted_matches_the_per_divisor_sum_for_every_small_conductor():
+    # the twisted sum reads eta(q) once; the two-lookup loop must agree bit
+    # for bit, and every sum with gcd(q, N_eta) > 1 is exactly 0j
+    for N in range(1, 61):
+        for eta in primitive_chars(N):
+            for n in range(1, 301):
+                got, want = sigma_twisted(eta, n), sigma_ascending.__wrapped__(eta, n)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (eta, n)
+                if math.gcd(n, N) > 1:
+                    assert got == 0j, (eta, n)
+
+
 def test_progression_sum_collapses_to_full_interval():
     for M in range(2, 11):
         for n in range(1, 200):
