@@ -75,12 +75,12 @@ _TABLE_BLOCK = 1 << 14
 def _cmd_hurwitz_table(args) -> int:
     if args.max < 0:
         raise ValueError("--max must be >= 0")
-    h12 = ensure_table(args.max).h12
+    table = ensure_table(args.max)
     texts: dict[int, str] = {}  # 12H -> H as _fmt prints it, each formatted once
 
     def blocks():
         for lo in range(0, args.max + 1, _TABLE_BLOCK):
-            values = h12[lo:min(lo + _TABLE_BLOCK, args.max + 1)].tolist()
+            values = table.dense(lo, min(lo + _TABLE_BLOCK - 1, args.max)).tolist()
             for v in set(values).difference(texts):
                 texts[v] = _fmt(Fraction(v, 12))
             yield lo, [texts[v] for v in values]

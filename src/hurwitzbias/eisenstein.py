@@ -135,12 +135,21 @@ def psi(d: int, m: int, p: int, M: int) -> Fraction:
     raise ValueError("local divisor outside the admissible range")
 
 
+def _is_chi8(eta: DirichletCharacter) -> bool:
+    """Whether eta's component at 2 is chi8, read from its values: modulus 8,
+    eta_2(-1) = 1 and eta_2(5) = -1."""
+    if p_part(eta.modulus, 2) != 8:
+        return False
+    eta2 = DirichletCharacter(8, eta.locals[:1])  # locals are sorted by p
+    return char_eval(eta2, -1) == 0 and char_eval(eta2, 5) == Fraction(1, 2)
+
+
 def phi2(eta: DirichletCharacter) -> complex:
     """Correction factor at the prime 2, split by where 2 sits in the conductor."""
     hat, tilde = quad_decomp(eta)
     # the primes of eta are sorted, so an even conductor puts 2 at locals[0]
     if hat.modulus % 2 == 0:
-        if eta.locals[0] == (2, 3, (0, 1)):  # chi8
+        if _is_chi8(eta):
             return 1 + 0j
         return -1j * root(2 * eps(odd_part(eta.modulus)))
     if tilde.modulus % 2 == 0:

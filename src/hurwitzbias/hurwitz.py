@@ -2,15 +2,17 @@
 reduction of higher moments to the zeroth one.
 
 One route serves the class numbers: a sieve that counts reduced forms
-(a, b, c) once for a window [lo, hi] of discriminants.  Per a, one scatter
-adds the terms below d = 4a^2 + 4a, and two patterns of period a add the
-rest into quarter-length int32 arrays, one for d = 0 and one for d = 3
-(mod 4), the only classes that have forms.  The shared table is the window
-from 0, grown by sieving only what it lacks; hurwitz_H sieves [d, d] past
-it.  hurwitz_direct, which enumerates forms one d at a time, is only the
-oracle that the tests and the benchmark check the sieve by.  moment_H steps
-through the traces of its class by M.  For k >= 1 it sums t^k * 12 H(4n - t^2)
-as one int64 dot product whenever isqrt(4n)^k * sum |12 H| < 2^63 bounds
+(a, b, c) once for a window [lo, hi] of discriminants.  Only d = 0, 3
+(mod 4) has forms, so every table is kept by slot: d sits at slot d >> 1,
+4i at 2i and 4i + 3 at 2i + 1.  Per a, one scatter adds the terms below
+d = 4a^2 + 4a, and one pattern of period 2a, the even and odd slots
+interleaved, adds the rest into an int32 window of slots.  The shared table
+is the window from 0 in int64 slots, grown by sieving only what it lacks;
+hurwitz_H sieves [d, d] past it.  hurwitz_direct, which enumerates forms
+one d at a time, is only the oracle that the tests and the benchmark check
+the sieve by.  moment_H steps through the traces of its class by M and
+gathers slot (4n - t^2) >> 1.  For k >= 1 it sums t^k * 12 H(4n - t^2) as
+one int64 dot product whenever isqrt(4n)^k * (sum 12 H + 4) < 2^63 bounds
 every partial sum, and in Python ints otherwise; the zeroth moment stays on
 Python ints, which are faster on its short classes.
 """
@@ -65,9 +67,9 @@ def hurwitz_direct(d: int) -> Fraction:
 def _add_periodic(q: np.ndarray, first: int, start: int, pattern: np.ndarray) -> None:
     """q[k] += pattern[(first + k) % len(pattern)] wherever first + k >= start.
 
-    q holds the entries first, first + 1, ... of one quarter array.  The
-    pattern is tiled up to _ROW, so that a short period still adds in long
-    rows: at a = 1 rows of one entry cost more than the adds they save.
+    q holds the slots first, first + 1, ... of a window.  The pattern is
+    tiled up to _ROW, so that a short period still adds in long rows: at
+    a = 1 rows of two entries cost more than the adds they save.
     """
     k0 = max(start - first, 0)
     if k0 >= q.size:
@@ -81,38 +83,40 @@ def _add_periodic(q: np.ndarray, first: int, start: int, pattern: np.ndarray) ->
     q[stop:] += pattern[: q.size - stop]
 
 
-def _sieve_range(h: np.ndarray, lo: int, hi: int) -> None:
-    """Add every weighted reduced form (a, b, c) with lo <= 4ac - b^2 <= hi
-    into the window h, where h[i] holds the discriminant d = lo + i.
+def _slot_count(limit: int) -> int:
+    """The number of slots, d = 0, 3 (mod 4), with 0 <= d <= limit."""
+    return limit // 4 + (limit + 1) // 4 + 1
 
-    For each a and 0 <= b <= a, c = a is the head term at d = 4a^2 - b^2
-    (weight 6, 4 or 12 in units of 1/12), and c > a is a tail with weight 12
-    or 24 at every d = 4a^2 - b^2 + 4aj, j >= 1.  Only d = 0, 3 (mod 4) has
-    forms, so the tails are summed in two quarter arrays: E[i] for d = 4i
-    (even b = 2e) and O[i] for d = 4i + 3 (odd b = 2e + 1).  There a tail
-    steps by a, at residue floor((4a^2 - b^2) / 4) (mod a), which is -e^2 in E
-    and -(e^2 + e + 1) in O.
-    From i = a^2 + a (d >= 4a^2 + 4a) on every tail is running, so each a
-    adds one pattern of period a to each array.  The heads and the tail terms
-    below d = 4a^2 + 4a go into h by one scatter, each b's run of j clipped to
-    [lo, hi] first, through np.add.at because two of them land on the same d
-    whenever b1^2 = b2^2 (mod 4a).  E and O are int32: an entry collects at
-    most one pattern value per a, at most 24 (a + 1), and that sum stays below
-    2^31 up to _TABLE_HARD_LIMIT.  The scatter weights stay int64, the dtype
-    of h, which keeps np.add.at on its fast path.
+
+def _sieve_range(lo: int, hi: int) -> np.ndarray:
+    """12 H(d) for every slot d = 0, 3 (mod 4) with lo <= d <= hi: the sum of
+    the weighted reduced forms (a, b, c) with 4ac - b^2 = d, in units of 1/12.
+
+    Slot d >> 1 holds d, so 4i is slot 2i and 4i + 3 is slot 2i + 1, and the
+    window's entry s holds slot _slot_count(lo - 1) + s.  For each a and
+    0 <= b <= a, c = a is the head term at d = 4a^2 - b^2 (weight 6, 4 or 12)
+    and c > a is a tail with weight 12 or 24 at every d = 4a^2 - b^2 + 4aj,
+    j >= 1.  A tail steps by 2a slots, even b through the even slots and odd
+    b through the odd ones, at residue (4a^2 - b^2) >> 1 (mod 2a).  From slot
+    2(a^2 + a) (d >= 4a^2 + 4a) on every tail is running, so each a adds one
+    pattern of period 2a, the two parities interleaved.  The heads and the
+    tail terms below d = 4a^2 + 4a go into their slots by one scatter, each
+    b's run of j clipped to [lo, hi] first, through np.add.at because two of
+    them land on the same d whenever b1^2 = b2^2 (mod 4a).  The window is
+    int32: an entry collects, per a, at most one form per b, at most
+    24 (a + 1), and that sum stays below 2^31 up to _TABLE_HARD_LIMIT.  The
+    scatter weights are int32 too, which keeps np.add.at on its fast path.
     """
-    e0 = -(-lo // 4)  # first i with lo <= 4i
-    o0 = -(-(lo - 3) // 4)  # first i with lo <= 4i + 3
-    E = np.zeros(max(hi // 4 + 1 - e0, 0), dtype=np.int32)
-    O = np.zeros(max((hi - 3) // 4 + 1 - o0, 0), dtype=np.int32)
+    s0 = _slot_count(lo - 1)  # the first slot with lo <= d
+    h = np.zeros(_slot_count(hi) - s0, dtype=np.int32)
     for a in range(1, math.isqrt(hi // 3) + 1):
         step = 4 * a
         b = np.arange(a + 1)
         d0 = 4 * a * a - b * b
-        tail = np.full(a + 1, 24)
+        tail = np.full(a + 1, 24, dtype=np.int32)
         tail[0] = tail[a] = 12
         if lo < 4 * a * a + step:
-            head = np.full(a + 1, 12)
+            head = np.full(a + 1, 12, dtype=np.int32)
             head[0], head[a] = 6, 4
             keep = (d0 >= lo) & (d0 <= hi)
             # tail terms below the periodic start, j = 1 .. ceil(b^2 / 4a), in [lo, hi]
@@ -120,25 +124,25 @@ def _sieve_range(h: np.ndarray, lo: int, hi: int) -> None:
             last = np.minimum(-(-b * b // step), (hi - d0) // step)
             runs = np.maximum(last - first + 1, 0)
             run0 = d0 + step * (first - np.cumsum(runs) + runs)
-            pos = np.repeat(run0, runs) + np.arange(-lo, step * runs.sum() - lo, step)
-            np.add.at(h, np.concatenate((d0[keep] - lo, pos)),
+            d = np.repeat(run0, runs) + np.arange(0, step * runs.sum(), step)
+            np.add.at(h, (np.concatenate((d0[keep], d)) >> 1) - s0,
                       np.concatenate((head[keep], np.repeat(tail, runs))))
-        start = a * a + a
-        if 4 * start > hi:
+        start = 2 * (a * a + a)
+        if 2 * start > hi:
             continue
-        # both patterns from one bincount: E's in [0, a), O's in [a, 2a)
-        pattern = np.bincount(d0 // 4 % a + a * (b & 1), weights=tail, minlength=2 * a)
-        pattern = pattern.astype(np.int32)
-        _add_periodic(E, e0, start, pattern[:a])
-        _add_periodic(O, o0, start, pattern[a:])
-    h[4 * e0 - lo : hi + 1 - lo : 4] += E
-    h[4 * o0 + 3 - lo : hi + 1 - lo : 4] += O
+        pattern = np.bincount((d0 >> 1) % (2 * a), weights=tail, minlength=2 * a)
+        _add_periodic(h, s0, start, pattern.astype(np.int32))
+    return h
 
 
 class HurwitzTable:
-    """Dense table of 12*H(d) for 0 <= d <= limit, built by a periodic sieve.
+    """12*H(d) for every d = 0, 3 (mod 4) with 0 <= d <= limit, built by a
+    periodic sieve.  The int64 array slots holds d at slot d >> 1: 4i at
+    slot 2i and 4i + 3 at slot 2i + 1.  No other d has forms, so the slots
+    skip the zeros at d = 1, 2 (mod 4) and take half the length of a dense
+    table.
 
-    Given a smaller table as base, its entries are copied and only the
+    Given a smaller table as base, its slots are copied and only the
     discriminants in (base.limit, limit] are sieved.
     """
 
@@ -146,20 +150,29 @@ class HurwitzTable:
         if limit > _TABLE_HARD_LIMIT:
             raise ValueError(f"d = {limit} exceeds the class-number cap {_TABLE_HARD_LIMIT}")
         self.limit = limit
-        h = np.zeros(limit + 1, dtype=np.int64)
-        if base is None:
-            h[0] = -1
-            lo = 1
-        else:
-            lo = min(base.limit, limit) + 1
-            h[:lo] = base.h12[:lo]
-        _sieve_range(h[lo:], lo, limit)
-        self.h12 = h
+        lo = 1 if base is None else min(base.limit, limit) + 1
+        s0 = _slot_count(lo - 1)
+        slots = np.empty(_slot_count(limit), dtype=np.int64)
+        slots[:s0] = -1 if base is None else base.slots[:s0]  # 12 H(0) = -1
+        slots[s0:] = _sieve_range(lo, limit)
+        self.slots = slots
 
     def value(self, d: int) -> Fraction:
-        if d < 0:
+        if d > self.limit:
+            raise ValueError(f"d = {d} is past the table limit {self.limit}")
+        if d < 0 or d % 4 in (1, 2):
             return Fraction(0)
-        return Fraction(int(self.h12[d]), 12)
+        return Fraction(int(self.slots[d >> 1]), 12)
+
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        """12*H(d) for lo <= d <= hi <= limit as one int64 array, the zeros at
+        d = 1, 2 (mod 4) included."""
+        out = np.zeros(hi - lo + 1, dtype=np.int64)
+        for r in (0, 3):
+            first = lo + (r - lo) % 4  # the first d >= lo with d = r (mod 4)
+            col = out[first - lo :: 4]
+            col[:] = self.slots[first >> 1 :][: 2 * col.size : 2]
+        return out
 
 
 _table = HurwitzTable(0)
@@ -183,9 +196,7 @@ def hurwitz_H(d: int) -> Fraction:
         return ensure_table(d).value(d)
     if d > _TABLE_HARD_LIMIT:
         raise ValueError(f"d = {d} exceeds the class-number cap {_TABLE_HARD_LIMIT}")
-    h = np.zeros(1, dtype=np.int64)
-    _sieve_range(h, d, d)
-    return Fraction(int(h[0]), 12)
+    return Fraction(int(_sieve_range(d, d)[0]), 12)
 
 
 @lru_cache(maxsize=1 << 15)
@@ -194,7 +205,7 @@ def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
     the boundary terms t^2 = 4n (where H(0) = -1/12).
 
     For k >= 1 the sum is one int64 dot product of t^k with the gathered
-    12 H values whenever tmax^k * sum |12 H| < 2^63, which bounds every
+    12 H values whenever tmax^k * (sum 12 H + 4) < 2^63, which bounds every
     partial sum; past that bound, and for an empty class, it is summed in
     Python ints.  k = 0 stays on Python ints: its classes are short (about
     5 to 50 terms in the residual queries), where the numpy reduction costs
@@ -204,15 +215,18 @@ def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
         raise ValueError("moment_H requires k >= 0, M >= 1, n >= 0")
     tmax = math.isqrt(4 * n)
     t = np.arange(-tmax + (m + tmax) % M, tmax + 1, M)
-    h = ensure_table(4 * n).h12[4 * n - t * t]
+    h = ensure_table(4 * n).slots[(4 * n - t * t) >> 1]
     if k == 0:
         num = sum(h.tolist())
     # The bound: every |t| <= tmax, so with S = sum |h| each |t^k| is at most
     # tmax^k and each |t^k h| and each partial sum of the dot at most tmax^k S.
-    # Both are at most tmax^k max(S, 1), so below 2^63 nothing overflows, and
-    # numpy's integer dot sums in int64 without BLAS, so it is exact.  h >= -1
-    # (the one negative entry is h12[0] = -1), so np.abs(h) cannot wrap.
-    elif t.size and tmax**k * max(int(np.abs(h).sum()), 1) < 2**63:
+    # The one negative entry of the table is 12 H(0) = -1, and 4n - t^2 = 0
+    # only at t = +-2 sqrt(n), so h holds at most two -1s and every other
+    # entry is >= 0: S = sum h + 2 * #{-1s} <= sum h + 4, and sum h + 4 >= 2.
+    # So tmax^k (sum h + 4) bounds both tmax^k S and tmax^k itself; below
+    # 2^63 neither t^k nor the dot overflows, and numpy's integer dot sums in
+    # int64 without BLAS, so it is exact.
+    elif t.size and tmax**k * (int(h.sum()) + 4) < 2**63:
         num = int(np.dot(t**k, h))
     else:
         num = sum(x**k * y for x, y in zip(t.tolist(), h.tolist()))

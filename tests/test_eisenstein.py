@@ -141,6 +141,18 @@ def test_phi2_values():
     assert abs(phi2(CHI_M4) - (-1j)) < 1e-15
 
 
+def test_chi8_is_read_from_values():
+    # _is_chi8 reads eta's 2-part through char_eval; on every primitive
+    # character with 8 | N <= 240 it agrees with the exponent tuple of the
+    # generators -1 and 5 mod 8 that local_unit_group fixes today
+    count = 0
+    for N in range(8, 241, 8):
+        for eta in primitive_chars(N):
+            assert eisenstein._is_chi8(eta) == (eta.locals[0] == (2, 3, (0, 1))), eta
+            count += eisenstein._is_chi8(eta)
+    assert count > 0
+
+
 def test_sigma_twisted_values():
     assert sigma_twisted(TRIV, 6) == 12
     assert abs(sigma_twisted(CHI_M4, 5) - 6) < 1e-12

@@ -84,6 +84,14 @@ def test_table_matches_direct():
         assert table.value(d) == hurwitz_direct(d), d
 
 
+def test_table_value_past_its_limit_names_the_limit():
+    table = HurwitzTable(100)
+    assert table.value(100) == hurwitz_direct(100) and table.value(98) == 0
+    for d in (101, 103, 10**6):
+        with pytest.raises(ValueError, match="past the table limit 100"):
+            table.value(d)
+
+
 def strided_sieve(limit):
     """The sieve as one strided add per (a, b) tail, from 0: the reference
     for the periodic sieve."""
@@ -98,24 +106,54 @@ def strided_sieve(limit):
     return h
 
 
+def expand(table):
+    """The slots as h[d] = 12 H(d) for 0 <= d <= limit: 4i is slot 2i,
+    4i + 3 is slot 2i + 1, and d = 1, 2 (mod 4) reads 0."""
+    h = np.zeros(table.limit + 1, dtype=np.int64)
+    h[0::4] = table.slots[0::2]
+    h[3::4] = table.slots[1::2]
+    return h
+
+
+def assert_table_is(table, want):
+    # every d <= limit, the zeros at d = 1, 2 (mod 4) included, read three
+    # ways: the slots as laid out, dense() and, up to 2000, value(d)
+    assert np.array_equal(expand(table), want)
+    assert np.array_equal(table.dense(0, table.limit), want)
+    for d in range(min(table.limit, 2000) + 1):
+        assert table.value(d) == Fraction(int(want[d]), 12), d
+
+
+def test_slot_count_and_dtype():
+    # one int64 slot per d = 0, 3 (mod 4) up to the limit, and an int32
+    # window per sieved range
+    for limit in range(65):
+        slots = sum(d % 4 in (0, 3) for d in range(limit + 1))
+        table = HurwitzTable(limit)
+        assert table.slots.dtype == np.int64 and table.slots.shape == (slots,), limit
+        window = _sieve_range(1, limit)
+        assert window.dtype == np.int32 and window.shape == (slots - 1,), limit
+
+
 def test_table_matches_strided_sieve():
     # every limit up to 64, across the periodic starts d = 8, 24, 48 of
     # a = 1, 2, 3, then one limit near 10^5 in each class mod 4
     for limit in [*range(65), *range(10**5, 10**5 + 4)]:
-        assert np.array_equal(HurwitzTable(limit).h12, strided_sieve(limit)), limit
+        assert_table_is(HurwitzTable(limit), strided_sieve(limit))
 
 
 def test_table_grows_through_every_residue_class():
     # each step ends on a new class mod 4, some steps shorter than 4, so the
-    # quarter arrays start and stop at every offset against E and O
+    # copied slots end and the sieved window starts at every slot parity
     table = HurwitzTable(0)
     for limit in (1, 2, 3, 4, 7, 9, 14, 60, 61, 62, 63, 64, 1001, 1002, 5003, 20_000):
         table = HurwitzTable(limit, table)
-        assert np.array_equal(table.h12, strided_sieve(limit)), limit
+        assert_table_is(table, strided_sieve(limit))
 
 
-def test_quarter_arrays_have_int32_headroom():
-    # an entry of E or O collects at most one pattern value, at most 24 (a + 1),
+def test_slot_window_has_int32_headroom():
+    # a slot of the int32 window collects, per a, the weights of the forms
+    # (a, b, c) at its d, at most one per b and at most 24 (a + 1) in all,
     # per a that the largest guarded table sieves
     a_max = math.isqrt(_TABLE_HARD_LIMIT // 3)
     assert 24 * sum(a + 1 for a in range(1, a_max + 1)) < 2**31
@@ -128,14 +166,26 @@ def test_table_grows_in_a_chain():
     for limit in (999, 2500, 7001):
         table = HurwitzTable(limit, table)
         assert table.limit == limit
-        assert np.array_equal(table.h12, HurwitzTable(limit).h12), limit
+        assert np.array_equal(table.slots, HurwitzTable(limit).slots), limit
     for d in range(7002):
         assert table.value(d) == hurwitz_direct(d), d
-    # a window h[i] = 12 H(lo + i) with ends mid-period, and single points
+    # a window of the slots d = 0, 3 (mod 4) in [lo, hi] with ends
+    # mid-period, and single points
+    h = expand(table)
     for lo, hi in ((2501, 7001), (999, 1003), (1, 1), (3, 3), (2503, 2503), (7000, 7000)):
-        window = np.zeros(hi - lo + 1, dtype=np.int64)
-        _sieve_range(window, lo, hi)
-        assert np.array_equal(window, table.h12[lo : hi + 1]), (lo, hi)
+        window = _sieve_range(lo, hi)
+        want = [h[d] for d in range(lo, hi + 1) if d % 4 in (0, 3)]
+        assert window.tolist() == want, (lo, hi)
+
+
+def test_table_at_its_reference_size():
+    # the sieve at 4 * 10^6 against the oracle at one d in each class 0, 3,
+    # 4 and 7 (mod 8) at its top, and at the last slot, d = 4 * 10^6
+    table = HurwitzTable(4 * 10**6)
+    assert table.slots.size == 2 * 10**6 + 1
+    for d in (3999992, 3999995, 3999996, 3999999):
+        assert table.value(d) == hurwitz_direct(d), d
+    assert Fraction(int(table.slots[-1]), 12) == hurwitz_direct(4 * 10**6)
 
 
 def test_ensure_table_grows():
@@ -200,7 +250,7 @@ def test_moment_matches_python_int_sum_across_the_int64_bound():
     # grid reaches past that bound, where the sum is taken in Python ints
     moment_H.cache_clear()
     for n in (0, 1, 36, 9973, 62500, 250000):
-        h12 = ensure_table(4 * n).h12.tolist()
+        h12 = expand(ensure_table(4 * n)).tolist()
         tmax = math.isqrt(4 * n)
         for M in (1, 2, 3, 5, 12):
             for m in (-13, -1, 0, 1, 4, 12, 29):
@@ -209,6 +259,21 @@ def test_moment_matches_python_int_sum_across_the_int64_bound():
                 for k in range(13):
                     want = Fraction(sum(t**k * h for t, h in terms), 12)
                     assert moment_H(k, m, M, n) == want, (k, m, M, n)
+
+
+def test_moment_bound_counts_both_ends_of_the_class():
+    # at n = 500^2 the entries at t = +-1000 are 12 H(0) = -1, which the
+    # bound sum h + 4 >= sum |h| covers: the class 0 mod 8 holds them with
+    # t = 0, and the class 1000 mod 2000 holds only them, so sum h = -2
+    n, tmax = 250000, 1000
+    h12 = expand(ensure_table(4 * n)).tolist()
+    moment_H.cache_clear()
+    for m, M in ((0, 8), (1000, 2000)):
+        terms = [(t, h12[4 * n - t * t]) for t in range(-tmax, tmax + 1) if (t - m) % M == 0]
+        assert (terms[0], terms[-1]) == ((-tmax, -1), (tmax, -1))
+        for k in range(13):
+            want = Fraction(sum(t**k * h for t, h in terms), 12)
+            assert moment_H(k, m, M, n) == want, (k, m, M)
 
 
 def test_moment_pins_on_both_sides_of_the_int64_bound():
