@@ -217,10 +217,3 @@ def primes_upto(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, b in enumerate(sieve) if b]
-
-
-def inverse_mod(a: int, m: int) -> int:
-    """Inverse of a modulo m; the degenerate modulus m = 1 returns 0."""
-    if m == 1:
-        return 0
-    return pow(a, -1, m)

@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .arith import euler_phi, factorize, odd_part, ord_p, primes_upto
-from .characters import char_table, root_values
 from .eisenstein import IM_TOL, leading_coefficients, reduce_residue
 from .hurwitz import moment_H
 
@@ -48,10 +47,8 @@ def leading_sum(m: int, M: int, x: int, power: int = 1) -> float:
     eta(x)^power; the imaginary parts must cancel.
     """
     total = 0j
-    for eta, coeff in leading_coefficients(m, M):
-        L, e = char_table(eta)
-        k = e[x % eta.modulus]
-        total += coeff * (root_values(L)[k] if k >= 0 else 0j) ** power
+    for values, coeff in leading_coefficients(m, M):
+        total += coeff * values[x % len(values)] ** power
     if abs(total.imag) >= IM_TOL:
         raise ArithmeticError(f"residue average strayed off the real axis: {total!r}")
     return total.real

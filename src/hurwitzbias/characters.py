@@ -10,8 +10,9 @@ the one conversion to a complex number. Each character is evaluated from
 one cached integer table (char_table): chi(x) = e(e[x]/L), with L the lcm
 of the local generator orders and e[x] = -1 off the units. char_eval
 returns a table entry as the exponent Fraction(e[x], L), or None off the
-units; the hot sums read the table and the per-L complex values of
-root_values directly.
+units. char_values is the one reader of the complex values: chi(x) for
+every x, each unit's entry the root_values(L)[e[x]] object and 0j off the
+units. The hot sums, here and in eisenstein and bias, index that tuple.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .arith import factorize, inverse_mod, kronecker, ord_p
+from .arith import factorize, kronecker, ord_p
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,6 +157,17 @@ def char_table(chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
     return L, tuple(table)
 
 
+# every primitive character of one modulus fits, so the values built for a
+# whole expansion are still cached when its kernels are read
+@lru_cache(maxsize=_CHAR_CAP)
+def char_values(chi: DirichletCharacter) -> tuple[complex, ...]:
+    """chi(x) for every x mod the modulus: the root_values entry of each unit's
+    exponent, the same complex object, and 0j off the units."""
+    L, e = char_table(chi)
+    roots = root_values(L)
+    return tuple(roots[k] if k >= 0 else 0j for k in e)
+
+
 def char_eval(chi: DirichletCharacter, n: int) -> Fraction | None:
     """The exponent of chi(n), in [0, 1); None off the units."""
     L, e = char_table(chi)
@@ -272,12 +284,10 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     m = chi.modulus
     if m == 1:
         return 1 + 0j
-    L, e = char_table(chi)
-    roots = root_values(L)
     total = 0j
-    for x, k in enumerate(e):
-        if k >= 0:
-            total += roots[k] * cmath.exp(TWO_PI * 1j * x / m)
+    for x, value in enumerate(char_values(chi)):
+        if value:
+            total += value * cmath.exp(TWO_PI * 1j * x / m)
     return total
 
 
@@ -310,19 +320,19 @@ def gauss_quad_closed(a: int, b: int, c: int) -> complex:
             return 0j
         return g * gauss_quad_closed(a // g, b // g, c // g)
     if c % 2 == 1:
-        k = inverse_mod(4 * a, c)
+        k = pow(4 * a, -1, c)
         phase = Fraction(-k * b * b, c)
         return root(phase) * root(eps(c)) * kronecker(a, c) * math.sqrt(c)
     if c % 4 == 2:
         if b % 2 == 0:
             return 0j
         c0 = c // 2
-        k = inverse_mod(8 * a, c0)
+        k = pow(8 * a, -1, c0)
         phase = Fraction(-k * b * b, c0)
         return root(phase) * root(eps(c0)) * kronecker(2 * a, c0) * math.sqrt(2 * c)
     if b % 2 == 1:
         return 0j
-    k = inverse_mod(a, c)
+    k = pow(a, -1, c)
     phase = Fraction(-k * b * b, 4 * c)
     return root(phase) * root(3 * eps(a)) * kronecker(c, a) * (1 + 1j) * math.sqrt(c)
 

@@ -117,6 +117,8 @@ def _write_csv(path: str, header, lines) -> None:
 
 
 def _cmd_residual(args) -> int:
+    if args.out and args.format == "json":
+        raise ValueError("--out writes CSV; it cannot be combined with --format json")
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     if args.max_n > RESIDUAL_N_CAP:

@@ -10,9 +10,11 @@ characters.star_char).
 
 A main term at n is evaluated from one divisor list of n: every term (eta,
 d) with d | n sums over the divisors of n that divide n/d, through the one
-twisted-sum loop that sigma_twisted uses too. Each eta's kernel (modulus,
-char_table entries, root_values) is resolved once per expansion, when it is
-first evaluated.
+twisted-sum loop that sigma_twisted uses too. Each eta's values come from
+characters.char_values, the one reader of a character's complex values,
+and are read once per expansion, when it is first evaluated.
+The expansion is the one source of coefficients: S_set and the bias
+weights of leading_coefficients are its d = 1 terms.
 A Dirichlet character is completely multiplicative, so eta(x) * eta(q/x) =
 eta(q) for every x | q: a twisted sum reads eta(q) once, and is exactly 0j
 when gcd(q, N_eta) > 1, since then every term vanishes.
@@ -42,13 +44,12 @@ from .arith import (
 from .characters import (
     DirichletCharacter,
     char_eval,
-    char_table,
+    char_values,
     eps,
     gauss_sum,
     primitive_chars,
     quad_decomp,
     root,
-    root_values,
     star_char,
 )
 from .hurwitz import lambda_moment, moment_H
@@ -159,25 +160,19 @@ def phi2(eta: DirichletCharacter) -> complex:
     return 1 + 0j
 
 
-def _kernel(chi: DirichletCharacter) -> tuple[int, tuple[int, ...], tuple[complex, ...]]:
-    """chi as its modulus, its char_table entries and the root_values of its table."""
-    L, e = char_table(chi)
-    return chi.modulus, e, root_values(L)
-
-
 @lru_cache(maxsize=1 << 12)
 def _char_factors(eta: DirichletCharacter) -> tuple:
     """The factors of coeff_a that depend on eta alone, in the order it uses them.
 
-    Each of eta, tilde and hat comes as its _kernel.
+    Each of eta, tilde and hat comes as its char_values.
     """
     hat, tilde = quad_decomp(eta)
     star = star_char(eta)
     phi_n = euler_phi(tilde.modulus)
     return (
-        _kernel(eta),
-        _kernel(tilde),
-        _kernel(hat),
+        char_values(eta),
+        char_values(tilde),
+        char_values(hat),
         root(3 * eps(odd_part(eta.modulus))),
         root(char_eval(star, hat.modulus)),
         phi2(eta),
@@ -193,25 +188,23 @@ def coeff_a(eta: DirichletCharacter, d: int, m: int, M: int) -> complex:
     (without the global rational prefactor)."""
     m = reduce_residue(m, M)
     (
-        (n_eta, e_eta, roots_eta),
-        (n_tilde, e_tilde, roots_tilde),
-        (n_hat, e_hat, roots_hat),
+        v_eta, v_tilde, v_hat,
         eps3, star_at_hat, phi2_eta, g_star, phi_n, g_eta, sqrt_n,
     ) = _char_factors(eta)
+    n_eta, n_hat = len(v_eta), len(v_hat)
     g = math.gcd(4 * d, m * m)
 
-    k = e_eta[4 * d // g % n_eta]
     num = eps3
-    num *= roots_eta[k] if k >= 0 else 0j
+    num *= v_eta[4 * d // g % n_eta]
     num *= star_at_hat
     num *= phi2_eta
     num *= g_star
 
-    k_tilde = e_tilde[m * m // g % n_tilde]
-    k_hat = e_hat[squarefree_part(m * m // g) % n_hat]
-    if k_tilde < 0 or k_hat < 0:
+    at_tilde = v_tilde[m * m // g % len(v_tilde)]
+    at_hat = v_hat[squarefree_part(m * m // g) % n_hat]
+    if not (at_tilde and at_hat):
         raise ValueError("denominator character vanished; d is not admissible")
-    den = roots_tilde[k_tilde] * roots_hat[k_hat] * phi_n * g_eta
+    den = at_tilde * at_hat * phi_n * g_eta
 
     sq = squarefree_part(d)
     scale = math.isqrt(d // sq) / sqrt_n
@@ -228,10 +221,9 @@ def coeff_a(eta: DirichletCharacter, d: int, m: int, M: int) -> complex:
     return num / den * scale * float(local)
 
 
-def _twisted_sum(
-    kernel: tuple[int, tuple[int, ...], tuple[complex, ...]], q: int, divs: list[int]
-) -> complex:
-    """Sum of x * eta(x) * eta(q/x) over the x in divs that divide q.
+def _twisted_sum(values: tuple[complex, ...], q: int, divs: list[int]) -> complex:
+    """Sum of x * eta(x) * eta(q/x) over the x in divs that divide q, with
+    eta given as its char_values.
 
     eta is completely multiplicative, so eta(x) * eta(q/x) = eta(q) for
     every x | q: the root is read once. If gcd(q, N_eta) > 1 a prime of
@@ -241,11 +233,9 @@ def _twisted_sum(
     first whatever else divs holds. The sum is not eta(q) * sigma(q): that
     product, like another order, would move the last bits of the sum.
     """
-    n_eta, e, roots = kernel
-    k = e[q % n_eta]
-    if k < 0:
+    root_q = values[q % len(values)]
+    if not root_q:
         return 0j
-    root_q = roots[k]
     total = 0j
     for x in divs:
         if x > q:
@@ -257,7 +247,7 @@ def _twisted_sum(
 
 @lru_cache(maxsize=1 << 16)
 def _sigma_twisted_cached(eta: DirichletCharacter, n: int) -> complex:
-    return _twisted_sum(_kernel(eta), n, divisors(n))
+    return _twisted_sum(char_values(eta), n, divisors(n))
 
 
 def sigma_twisted(eta: DirichletCharacter, n: int) -> complex:
@@ -272,7 +262,7 @@ class MainTermExpansion:
     """Immutable expansion of the zeroth-moment main term for one class m (M).
 
     Each term (eta, d, coeff) stands for coeff * sigma_twisted(eta, n/d) at
-    d | n. Each eta's twisted-sum kernel is resolved once, at the first evaluation.
+    d | n. Each eta's char_values are read once, at the first evaluation.
     """
 
     prefactor: Fraction
@@ -280,7 +270,7 @@ class MainTermExpansion:
 
     @cached_property
     def _kernels(self) -> tuple:
-        return tuple((_kernel(eta), d, coeff) for eta, d, coeff in self.terms)
+        return tuple((char_values(eta), d, coeff) for eta, d, coeff in self.terms)
 
     def evaluate(self, n: int) -> float:
         """The main term at n: every term's twisted sum over one divisor list of n.
@@ -293,9 +283,9 @@ class MainTermExpansion:
             raise ValueError("evaluate requires n >= 1")
         divs = divisors(n)
         total = 0j
-        for kernel, d, coeff in self._kernels:
+        for values, d, coeff in self._kernels:
             if n % d == 0:
-                total += coeff * _twisted_sum(kernel, n // d, divs)
+                total += coeff * _twisted_sum(values, n // d, divs)
         total *= float(self.prefactor)
         # the value grows like sigma(n), so the rounding in its imaginary part does too
         if abs(total.imag) >= IM_TOL * max(1.0, abs(total.real)):
@@ -350,24 +340,21 @@ def residual_rows(
 
 
 @lru_cache(maxsize=1 << 12)
-def leading_coefficients(
-    m: int, M: int
-) -> tuple[tuple[DirichletCharacter, complex], ...]:
-    """Prefactor-scaled d = 1 coefficients, one per participating character.
+def leading_coefficients(m: int, M: int) -> tuple[tuple[tuple[complex, ...], complex], ...]:
+    """The d = 1 terms of build_expansion(m, M) in build order, each as
+    (char_values(eta), its coefficient times the prefactor).
 
     These weights drive the leading term of the expansion at n coprime to M
     and every residue-average built on top of it.
     """
-    pref = float(prefactor(M))
-    return tuple((eta, pref * coeff_a(eta, 1, m, M)) for eta in S_set(m, M))
+    ex = build_expansion(reduce_residue(m, M), M)
+    pref = float(ex.prefactor)
+    return tuple((char_values(eta), pref * coeff)
+                 for eta, d, coeff in ex.terms if d == 1)
 
 
 def S_set(m: int, M: int) -> tuple[DirichletCharacter, ...]:
-    """Primitive characters admitting the trivial auxiliary divisor d = 1."""
-    m = reduce_residue(m, M)
-    out = []
-    for n_eta in divisors(M):
-        for eta in primitive_chars(n_eta):
-            if in_S(eta, m, M, 1):
-                out.append(eta)
-    return tuple(out)
+    """Primitive characters admitting the trivial auxiliary divisor d = 1:
+    the etas of build_expansion's d = 1 terms, in build order."""
+    ex = build_expansion(reduce_residue(m, M), M)
+    return tuple(eta for eta, d, _ in ex.terms if d == 1)

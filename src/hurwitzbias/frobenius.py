@@ -190,6 +190,6 @@ def S_via_moments(k: int, m: int, M: int, p: int, r: int) -> Fraction:
         raise ValueError("r must be >= 1")
     total = moment_H(k, m, M, p**r)
     if r >= 2:
-        pbar = pow(p, -1, M) if M > 1 else 0
+        pbar = pow(p, -1, M)
         total -= p ** (k + 1) * moment_H(k, (m * pbar) % M, M, p ** (r - 2))
     return total / 2

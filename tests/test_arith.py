@@ -14,7 +14,6 @@ from hurwitzbias.arith import (
     divisors,
     euler_phi,
     factorize,
-    inverse_mod,
     is_prime,
     is_square,
     kronecker,
@@ -193,14 +192,6 @@ def test_primes_upto():
     ps = primes_upto(10_000)
     assert len(ps) == 1229
     assert all(is_prime(p) for p in ps[:50])
-
-
-def test_inverse_mod():
-    assert inverse_mod(3, 7) == 5
-    assert inverse_mod(10, 1) == 0
-    assert inverse_mod(5, 12) == 5
-    with pytest.raises(ValueError):
-        inverse_mod(2, 4)
 
 
 def test_is_square():

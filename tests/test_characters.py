@@ -12,6 +12,7 @@ from hurwitzbias.characters import (
     char_eval,
     _local_order,
     char_table,
+    char_values,
     conductor,
     enumerate_chars,
     eps,
@@ -144,6 +145,21 @@ def test_char_table_shape():
     assert [x for x in range(15) if e[x] < 0] == [0, 3, 5, 6, 9, 10, 12]
     assert e[2] == 3  # chi(2) = chi_3(2) * chi_5(2) = (-1) * i = e(3/4)
     assert char_table(enumerate_chars(1)[0]) == (1, (0,))
+
+
+def test_char_values_are_the_root_objects_of_the_table():
+    # every float sum that reads char_values keeps its bits only while each
+    # unit's entry is root_values' own complex object
+    for N in range(1, 61):
+        for chi in enumerate_chars(N):
+            L, e = char_table(chi)
+            values = char_values(chi)
+            assert len(values) == N
+            for x, k in enumerate(e):
+                if k >= 0:
+                    assert values[x] is root_values(L)[k], (chi, x)
+                else:
+                    assert values[x] == 0j, (chi, x)
 
 
 def reference_root(k, L):

@@ -127,6 +127,16 @@ def test_residual_csv_file(tmp_path, capsys, monkeypatch):
     assert target.read_text(encoding="utf-8").splitlines() == lines[:3]
 
 
+def test_residual_json_with_out_exits_two_and_writes_nothing(tmp_path, capsys):
+    # --out writes CSV only, so asking for JSON there is a bad flag pair
+    target = tmp_path / "res.json"
+    code, out, err = run(capsys, "residual", "--m", "1", "--M", "6", "--max-n", "2",
+                         "--format", "json", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_scan_examples(capsys):
     code, out, err = run(capsys, "scan", "--X", "2")
     assert code == 0

@@ -11,6 +11,7 @@ from hurwitzbias.arith import divisors, euler_phi, factorize, ord_p
 from hurwitzbias.characters import (
     char_eval,
     char_table,
+    char_values,
     enumerate_chars,
     primitive_chars,
     root_values,
@@ -20,6 +21,7 @@ from hurwitzbias.eisenstein import (
     S_set,
     build_expansion,
     coeff_a,
+    leading_coefficients,
     cusp_residual_0,
     in_S,
     main_term,
@@ -286,6 +288,54 @@ def test_residual_mod_6_is_a_multiple_of_eta_6z_fourth():
             assert abs(residual - c * a[n]) < 1e-9, (m, n)
 
 
+def _e49_coefficients(n_max):
+    """a_n for n <= n_max of the newform of E49: y^2 + xy = x^3 - x^2 - 2x - 1,
+    conductor 49, CM by Q(sqrt(-7)).  a_p = p - #affine points mod p at
+    p != 7, a_(7^k) = 0, then the Hecke recursion at prime powers and
+    multiplicativity; index 0 holds 0."""
+    a = [0, 1] + [None] * (n_max - 1)
+    for p in range(2, n_max + 1):
+        if a[p] is not None:
+            continue  # composite: filled from its prime-power parts below
+        if p == 7:
+            ap = 0
+        else:
+            ap = p - sum(1 for x in range(p) for y in range(p)
+                         if (y * y + x * y - (x**3 - x * x - 2 * x - 1)) % p == 0)
+        prev, cur, q = 1, ap, p
+        while q <= n_max:
+            for r in range(1, n_max // q + 1):
+                if r % p and a[r] is not None and a[q * r] is None:
+                    a[q * r] = a[r] * cur
+            prev, cur, q = cur, (ap * cur - p * prev if p != 7 else 0), q * p
+    return a
+
+
+def test_residual_mod_7_is_a_multiple_of_e49():
+    # The residual of the class m (mod 7) is c * a_n(E49), with c observed,
+    # not derived: c = 1/4 when 7 | m; for a unit m, c reads x = n / m^2
+    # mod 7 and is 0, 1/8 or -1/4 at x = 1, 2 or 4, while a_n = 0 at the
+    # non-squares x = 3, 5, 6 and whenever 7 | n.  The fit holds for every
+    # n <= 300 to about 1e-13.
+    a = _e49_coefficients(300)
+    # q + q^2 - q^4 - 3q^8 - 3q^9 + 4q^11 + ..., as Cremona's tables give 49a
+    assert a[1:12] == [1, 1, 0, -1, 0, 0, 0, -3, -3, 0, 4]
+    c_at = {1: 0.0, 2: 1 / 8, 4: -1 / 4}
+    for m in range(1, 8):
+        for n, *_, residual in residual_rows(m, 7, 300):
+            if m == 7:
+                c = 1 / 4
+            elif n % 7 == 0:
+                assert a[n] == 0
+                c = 0.0
+            else:
+                x = n * pow(m, -2, 7) % 7
+                if x not in c_at:
+                    assert a[n] == 0, n
+                c = c_at.get(x, 0.0)
+            assert abs(residual - c * a[n]) < 1e-9, (m, n)
+
+
 def test_main_term_is_real_on_wide_grid():
     # evaluate() raises ArithmeticError whenever the imaginary part survives.
     # Other readings of the eps factor went non-real from M = 3 and M = 7 on;
@@ -427,6 +477,26 @@ def test_S_set_examples():
     s15 = S_set(1, 5)
     assert len(s15) == 4
     assert sum(1 for c in s15 if char_order(c) == 4) == 2
+
+
+def test_d1_terms_match_the_walk_over_characters():
+    # S_set and leading_coefficients read build_expansion's d = 1 terms; the
+    # reference is the walk over divisors(M) x primitive_chars filtered by
+    # in_S, with coeff_a called here: the same etas in the same order, and
+    # the same weights bit for bit
+    for M in range(1, 37):
+        pref = float(prefactor(M))
+        for m in range(1, M + 1):
+            walk = [eta for N in divisors(M) for eta in primitive_chars(N)
+                    if in_S(eta, m, M, 1)]
+            assert S_set(m, M) == tuple(walk), (m, M)
+            leading = leading_coefficients(m, M)
+            assert len(leading) == len(walk), (m, M)
+            for eta, (values, weight) in zip(walk, leading):
+                assert values is char_values(eta), (m, M, eta)
+                want = pref * coeff_a(eta, 1, m, M)
+                assert (weight.real.hex(), weight.imag.hex()) == \
+                    (want.real.hex(), want.imag.hex()), (m, M, eta)
 
 
 def test_expansion_structure():

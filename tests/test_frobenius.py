@@ -124,6 +124,8 @@ def test_moment_route_examples():
     assert S_via_moments(0, 0, 1, 5, 1) == 5
     assert S_via_moments(0, 1, 3, 5, 2) == S_direct(0, 1, 3, 25)
     assert S_direct(0, 1, 3, 25) == Fraction(37, 4)
+    # M = 1 with r >= 2 reads the inverse of p mod 1, which pow gives as 0
+    assert S_via_moments(2, 0, 1, 7, 2) == S_direct(2, 0, 1, 49) == 2400
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
