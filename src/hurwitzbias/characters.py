@@ -63,6 +63,13 @@ def root_values(L: int) -> tuple[complex, ...]:
     return tuple(root(Fraction(k, L)) for k in range(L))
 
 
+@lru_cache(maxsize=1 << 10)
+def _exponents(L: int) -> tuple[int, ...]:
+    """The exponents 0 .. L - 1, one int object each, shared by every
+    char_table entry of order L, so that an entry holds only pointers."""
+    return tuple(range(L))
+
+
 @dataclass(frozen=True)
 class LocalUnitGroup:
     """The generator orders and a discrete-log table for (Z/p^e)^*."""
@@ -136,11 +143,14 @@ def char_table(chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
     """chi as (L, e): chi(x) = e(e[x]/L) for x mod the modulus, e[x] = -1 off the units.
 
     L is the lcm of the local generator orders; e[x] sums a * d * (L / o)
-    mod L over the discrete-log digits d of x.
+    mod L over the discrete-log digits d of x.  Each e[x] >= 0 is the object
+    _exponents(L)[e[x]], so a table mod 4999 holds 40 KB of pointers and no
+    int objects of its own (a fresh int per entry would add about 150 KB).
     """
     L = 1
     for p, e, _ in chi.locals:
         L = math.lcm(L, *local_unit_group(p, e).orders)
+    ks = _exponents(L)
     table = [0] * chi.modulus
     for p, e, exps in chi.locals:
         group = local_unit_group(p, e)
@@ -153,7 +163,7 @@ def char_table(chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
         for x, k in enumerate(table):
             if k >= 0:
                 v = local[x % q]
-                table[x] = -1 if v < 0 else (k + v) % L
+                table[x] = -1 if v < 0 else ks[(k + v) % L]
     return L, tuple(table)
 
 

@@ -47,6 +47,12 @@ class TraceMassTable:
     def _by_trace(self) -> dict[int, Fraction]:
         return dict(self.masses)
 
+    @cached_property
+    def _counts(self) -> tuple[tuple[int, int], ...]:
+        """(t, curve count) pairs: each mass times q - 1, an integer."""
+        den = self.p**self.r - 1
+        return tuple((t, w.numerator * (den // w.denominator)) for t, w in self.masses)
+
     def mass(self, t: int) -> Fraction:
         return self._by_trace.get(t, Fraction(0))
 
@@ -54,16 +60,15 @@ class TraceMassTable:
         return tuple(t for t, _ in self.masses)
 
     def total_mass(self) -> Fraction:
-        return sum((w for _, w in self.masses), Fraction(0))
+        return self.moment(0, 0, 1)
 
     def moment(self, k: int, m: int, M: int) -> Fraction:
+        """The sum of t^k times the mass over the traces t = m (mod M), summed
+        over the integer curve counts and divided by q - 1 once."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        total = Fraction(0)
-        for t, w in self.masses:
-            if (t - m) % M == 0:
-                total += t**k * w
-        return total
+        total = sum(t**k * c for t, c in self._counts if (t - m) % M == 0)
+        return Fraction(total, self.p**self.r - 1)
 
 
 def _legendre_table(p: int) -> np.ndarray:

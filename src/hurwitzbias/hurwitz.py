@@ -13,8 +13,11 @@ one d at a time, is only the oracle that the tests and the benchmark check
 the sieve by.  moment_H steps through the traces of its class by M and
 gathers slot (4n - t^2) >> 1.  For k >= 1 it sums t^k * 12 H(4n - t^2) as
 one int64 dot product whenever isqrt(4n)^k * (sum 12 H + 4) < 2^63 bounds
-every partial sum, and in Python ints otherwise; the zeroth moment stays on
-Python ints, which are faster on its short classes.
+every partial sum, and in Python ints otherwise.  The zeroth moment sums in
+Python ints up to _SUM_CROSSOVER terms, where that is faster, and as one int64
+sum past it.  Every moment_H is a multiple of 1/12 and every lambda_moment a
+multiple of 1/2, so cusp_coefficient and moment_via_reduction sum 12 times
+each term in Python ints and build one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ _LAMBDA_N_CAP = 10**14
 # width of the rows a periodic pattern is added in, tiled up to it; of 64 ..
 # 65536 it was the fastest for tables of 10^6 to 4*10^6 on a 2-core machine
 _ROW = 4096
+# moment_H at k = 0: past this many terms int(h.sum()) beats sum(h.tolist());
+# the two cost the same at 45 to 55 terms (about 1.9 us) on a 2-core machine
+_SUM_CROSSOVER = 50
 
 
 def hurwitz_direct(d: int) -> Fraction:
@@ -207,9 +213,11 @@ def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
     For k >= 1 the sum is one int64 dot product of t^k with the gathered
     12 H values whenever tmax^k * (sum 12 H + 4) < 2^63, which bounds every
     partial sum; past that bound, and for an empty class, it is summed in
-    Python ints.  k = 0 stays on Python ints: its classes are short (about
-    5 to 50 terms in the residual queries), where the numpy reduction costs
-    more than it saves.
+    Python ints.  k = 0 sums in Python ints up to _SUM_CROSSOVER terms (the
+    residual queries' classes, about 5 to 50 terms, where the numpy reduction
+    costs more than it saves) and as one int64 sum past it (the long M = 1
+    classes, 2001 terms at n = 250000).  That sum cannot overflow: a class
+    has at most 14,143 terms (4n <= 5 * 10^7), each below 2^31.
     """
     if k < 0 or M < 1 or n < 0:
         raise ValueError("moment_H requires k >= 0, M >= 1, n >= 0")
@@ -217,7 +225,7 @@ def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
     t = np.arange(-tmax + (m + tmax) % M, tmax + 1, M)
     h = ensure_table(4 * n).slots[(4 * n - t * t) >> 1]
     if k == 0:
-        num = sum(h.tolist())
+        num = int(h.sum()) if h.size > _SUM_CROSSOVER else sum(h.tolist())
     # The bound: every |t| <= tmax, so with S = sum |h| each |t^k| is at most
     # tmax^k and each |t^k h| and each partial sum of the dot at most tmax^k S.
     # The one negative entry of the table is 12 H(0) = -1, and 4n - t^2 = 0
@@ -286,32 +294,43 @@ def reduction_identity_sum(k: int, mu: int) -> Fraction:
     return total
 
 
+def _twelve(x: Fraction) -> int:
+    """12x for an x whose denominator divides 12, as moment_H's and
+    lambda_moment's do."""
+    return x.numerator * (12 // x.denominator)
+
+
+def _cusp12(k: int, m: int, M: int, n: int) -> int:
+    """12 times cusp_coefficient(k, m, M, n), summed in Python ints."""
+    total = _twelve(moment_H(k, m, M, n)) + _twelve(lambda_moment(k, m, M, n))
+    for mu in range(1, k // 2 + 1):
+        total += (-1) ** mu * math.comb(k - mu, mu) * n**mu * _twelve(moment_H(k - 2 * mu, m, M, n))
+    return total
+
+
 def cusp_coefficient(k: int, m: int, M: int, n: int) -> Fraction:
     """n-th coefficient of the weight k+3/2 cusp component, k >= 1; computed
-    from moments and divisor sums rather than from modular forms."""
+    from moments and divisor sums rather than from modular forms, exactly:
+    the sum of 12 times each term is an integer, divided by 12 once."""
     if k < 1:
         raise ValueError("cusp coefficients require k >= 1")
-    total = moment_H(k, m, M, n) + lambda_moment(k, m, M, n)
-    for mu in range(1, k // 2 + 1):
-        total += (-1) ** mu * math.comb(k - mu, mu) * n**mu * moment_H(k - 2 * mu, m, M, n)
-    return total
+    return Fraction(_cusp12(k, m, M, n), 12)
 
 
 def moment_via_reduction(k: int, m: int, M: int, n: int) -> Fraction:
     """k-th moment rebuilt from the zeroth moment, cusp coefficients and
     divisor sums; must agree with moment_H for every k >= 0.  At k = 0 the
-    rebuild degenerates to the zeroth moment itself."""
+    rebuild degenerates to the zeroth moment itself.  Like cusp_coefficient
+    it sums 12 times each term in Python ints and divides by 12 once."""
     if k < 0:
         raise ValueError("the reduction applies to k >= 0")
     ck = catalan_ext(k)
-    total = Fraction(0)
-    if ck:
-        total += ck * n ** (k // 2) * moment_H(0, m, M, n)
+    total = ck * n ** (k // 2) * _twelve(moment_H(0, m, M, n)) if ck else 0
     for mu in range((k - 1) // 2 + 1):
         j = k - 2 * mu
         total += (
             reduction_coefficient(k, mu)
-            * (cusp_coefficient(j, m, M, n) - lambda_moment(j, m, M, n))
+            * (_cusp12(j, m, M, n) - _twelve(lambda_moment(j, m, M, n)))
             * n**mu
         )
-    return total
+    return Fraction(total, 12)

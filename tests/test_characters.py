@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hurwitzbias.arith import euler_phi, kronecker
 from hurwitzbias.characters import (
     DirichletCharacter,
+    _exponents,
     char_eval,
     _local_order,
     char_table,
@@ -160,6 +161,20 @@ def test_char_values_are_the_root_objects_of_the_table():
                     assert values[x] is root_values(L)[k], (chi, x)
                 else:
                     assert values[x] == 0j, (chi, x)
+
+
+def test_char_table_exponents_are_one_shared_tuple():
+    # a table holds pointers into _exponents(L), not an int object per entry;
+    # past L = 256 (3039 = 3 * 1013 has two local parts, L = 1012) CPython's
+    # small-int cache no longer makes every equal exponent one object
+    for N in [*range(1, 61), 3039, 4999]:
+        for chi in enumerate_chars(N)[:40]:
+            L, e = char_table(chi)
+            shared = _exponents(L)
+            assert shared == tuple(range(L))
+            for x, k in enumerate(e):
+                if k >= 0:
+                    assert k is shared[k], (chi, x)
 
 
 def reference_root(k, L):

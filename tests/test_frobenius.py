@@ -176,6 +176,20 @@ def test_restricted_moment_plus_error(p, r):
                 assert lhs == rhs, (k, m, M, p, r)
 
 
+def test_integer_moments_equal_the_fraction_sums():
+    # every table these tests build: the masses summed as Fractions, term by
+    # term, are the reference for the sums over one denominator q - 1
+    fields = {p for p in primes_upto(599) if p >= 5} | set(FIELD_SIZES) | {5801, 19997}
+    for q in sorted(fields):
+        table = trace_mass_table(q)
+        assert table.total_mass() == sum((w for _, w in table.masses), Fraction(0)) == q
+        for M in range(1, 7):
+            for m in range(-1, M):
+                for k in range(4):
+                    want = sum((t**k * w for t, w in table.masses if (t - m) % M == 0), Fraction(0))
+                    assert table.moment(k, m, M) == want, (q, k, m, M)
+
+
 def test_twist_class_rows_match_every_a(monkeypatch):
     # One weighted row per quartic-twist class must tally exactly what the
     # full enumeration, one row of weight 1 for every a in F_q, tallies.

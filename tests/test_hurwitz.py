@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzbias import hurwitz
-from hurwitzbias.arith import primes_upto
+from hurwitzbias.arith import catalan_ext, primes_upto
 from hurwitzbias.hurwitz import (
     _TABLE_HARD_LIMIT,
     HurwitzTable,
@@ -276,6 +276,27 @@ def test_moment_bound_counts_both_ends_of_the_class():
             assert moment_H(k, m, M, n) == want, (k, m, M)
 
 
+def test_zeroth_moment_on_both_sides_of_the_sum_crossover():
+    # k = 0 sums in Python ints up to _SUM_CROSSOVER terms and in int64 past
+    # it; one class of each length either side, against hurwitz_direct
+    cut = hurwitz._SUM_CROSSOVER
+    seen = set()
+    for M in (1, 2, 3):
+        for m in range(M):
+            for n in range(1, 1500):
+                tmax = math.isqrt(4 * n)
+                ts = range(-tmax + (m + tmax) % M, tmax + 1, M)
+                if len(ts) in (cut, cut + 1) and (M, m, len(ts)) not in seen:
+                    seen.add((M, m, len(ts)))
+                    want = sum((hurwitz_direct(4 * n - t * t) for t in ts), Fraction(0))
+                    assert moment_H(0, m, M, n) == want, (m, M, n)
+    assert {length for _, _, length in seen} == {cut, cut + 1}
+    # Kronecker-Hurwitz on the long path: 2 sigma(n) - sum_{d | n} min(d, n/d)
+    n = 250000
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    assert moment_H(0, 0, 1, n) == 2 * sum(divs) - sum(min(d, n // d) for d in divs) == 1207750
+
+
 def test_moment_pins_on_both_sides_of_the_int64_bound():
     # int64 path
     assert moment_H(3, 2, 5, 250000) == -26353495920
@@ -341,6 +362,63 @@ def test_reduction_identity_vanishes():
 def test_cusp_coefficient_requires_positive_order():
     with pytest.raises(ValueError):
         cusp_coefficient(0, 1, 1, 5)
+
+
+def cusp_by_fractions(k, m, M, n):
+    """cusp_coefficient summed in Fractions term by term, as a reference for
+    the integer sum; it reads the moments through the module, as the
+    library does."""
+    total = hurwitz.moment_H(k, m, M, n) + hurwitz.lambda_moment(k, m, M, n)
+    for mu in range(1, k // 2 + 1):
+        total += (-1) ** mu * math.comb(k - mu, mu) * n**mu * hurwitz.moment_H(k - 2 * mu, m, M, n)
+    return total
+
+
+def reduction_by_fractions(k, m, M, n):
+    """moment_via_reduction summed in Fractions term by term."""
+    ck = catalan_ext(k)
+    total = Fraction(0)
+    if ck:
+        total += ck * n ** (k // 2) * hurwitz.moment_H(0, m, M, n)
+    for mu in range((k - 1) // 2 + 1):
+        j = k - 2 * mu
+        total += (
+            reduction_coefficient(k, mu)
+            * (cusp_by_fractions(j, m, M, n) - hurwitz.lambda_moment(j, m, M, n))
+            * n**mu
+        )
+    return total
+
+
+def test_integer_sums_equal_the_fraction_sums():
+    for n in [*range(1, 61), 249999, 250000, 250001]:
+        for M in range(1, 7):
+            for m in range(M):
+                for k in range(10):
+                    want = reduction_by_fractions(k, m, M, n)
+                    assert moment_via_reduction(k, m, M, n) == want, (k, m, M, n)
+                    if k:
+                        want = cusp_by_fractions(k, m, M, n)
+                        assert cusp_coefficient(k, m, M, n) == want, (k, m, M, n)
+
+
+def test_integer_sums_read_the_moments_as_the_fraction_sums_did(monkeypatch):
+    # the same moment_H and lambda_moment calls, in the same order, so the
+    # caches see the same traffic
+    calls = []
+    for name in ("moment_H", "lambda_moment"):
+        fn = getattr(hurwitz, name)
+        monkeypatch.setattr(hurwitz, name, lambda *a, fn=fn, name=name: calls.append((name, a)) or fn(*a))
+    for k in range(10):
+        for f, ref in ((moment_via_reduction, reduction_by_fractions), (cusp_coefficient, cusp_by_fractions)):
+            if f is cusp_coefficient and k == 0:
+                continue
+            calls.clear()
+            f(k, 2, 5, 97)
+            got = list(calls)
+            calls.clear()
+            ref(k, 2, 5, 97)
+            assert got == calls, (f.__name__, k)
 
 
 def test_moment_via_reduction_matches():
