@@ -37,27 +37,28 @@ _Q_CAP = 20_000
 
 @dataclass(frozen=True)
 class TraceMassTable:
-    """Automorphism-weighted curve counts by trace over one finite field."""
+    """Automorphism-weighted curve counts by trace over one finite field,
+    kept as (t, number of pairs (a, b) with trace t); the mass of t is that
+    count over q - 1."""
 
     p: int
     r: int
-    masses: tuple[tuple[int, Fraction], ...]
+    counts: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def masses(self) -> tuple[tuple[int, Fraction], ...]:
+        den = self.p**self.r - 1
+        return tuple((t, Fraction(c, den)) for t, c in self.counts)
 
     @cached_property
     def _by_trace(self) -> dict[int, Fraction]:
         return dict(self.masses)
 
-    @cached_property
-    def _counts(self) -> tuple[tuple[int, int], ...]:
-        """(t, curve count) pairs: each mass times q - 1, an integer."""
-        den = self.p**self.r - 1
-        return tuple((t, w.numerator * (den // w.denominator)) for t, w in self.masses)
-
     def mass(self, t: int) -> Fraction:
         return self._by_trace.get(t, Fraction(0))
 
     def traces(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.masses)
+        return tuple(t for t, _ in self.counts)
 
     def total_mass(self) -> Fraction:
         return self.moment(0, 0, 1)
@@ -67,7 +68,7 @@ class TraceMassTable:
         over the integer curve counts and divided by q - 1 once."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        total = sum(t**k * c for t, c in self._counts if (t - m) % M == 0)
+        total = sum(t**k * c for t, c in self.counts if (t - m) % M == 0)
         return Fraction(total, self.p**self.r - 1)
 
 
@@ -165,11 +166,7 @@ def trace_mass_table(q: int) -> TraceMassTable:
     p, r = pairs[0]
     if p < 5:
         raise ValueError("characteristic must be at least 5")
-    tally = _field_tally(p, r)
-    masses = tuple(
-        (t, Fraction(cnt, q - 1)) for t, cnt in sorted(tally.items())
-    )
-    return TraceMassTable(p=p, r=r, masses=masses)
+    return TraceMassTable(p=p, r=r, counts=tuple(sorted(_field_tally(p, r).items())))
 
 
 def S_direct(k: int, m: int, M: int, q: int) -> Fraction:

@@ -7,7 +7,7 @@ import pytest
 
 from hurwitzbias import frobenius
 from hurwitzbias.arith import kronecker, primes_upto
-from hurwitzbias.frobenius import S_direct, S_via_moments, trace_mass_table
+from hurwitzbias.frobenius import S_direct, S_via_moments, TraceMassTable, trace_mass_table
 from hurwitzbias.hurwitz import hurwitz_H, moment_H
 
 FIELD_SIZES = (5, 7, 11, 13, 25, 49, 121)
@@ -89,7 +89,18 @@ def test_f5_table_by_hand():
     assert table.mass(7) == 0
     # 25 coefficient pairs, 5 of them singular
     raw = sum(table.mass(t) for t in table.traces()) * (5 - 1)
-    assert raw == 20
+    assert raw == 20 == sum(c for _, c in table.counts)
+    assert table.masses == tuple((t, Fraction(c, 4)) for t, c in table.counts)
+
+
+def test_hand_built_table_divides_its_counts_by_q_minus_1():
+    # one curve pair of trace 0 over F_5: mass 1/4, whatever else the table
+    # holds; the counts are integers, so no mass has to be scaled back
+    table = TraceMassTable(5, 1, ((0, 1), (2, 3)))
+    assert table.masses == ((0, Fraction(1, 4)), (2, Fraction(3, 4)))
+    assert table.moment(0, 0, 2) == table.total_mass() == 1
+    assert table.moment(0, 0, 4) == Fraction(1, 4)
+    assert table.moment(2, 0, 1) == 3
 
 
 def _assert_bridge_table(p):
