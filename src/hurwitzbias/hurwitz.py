@@ -6,18 +6,21 @@ One route serves the class numbers: a sieve that counts reduced forms
 (mod 4) has forms, so every table is kept by slot: d sits at slot d >> 1,
 4i at 2i and 4i + 3 at 2i + 1.  Per a, one scatter adds the terms below
 d = 4a^2 + 4a, and one pattern of period 2a, the even and odd slots
-interleaved, adds the rest into an int32 window of slots.  The shared table
-is the window from 0 in int64 slots, grown by sieving only what it lacks;
-hurwitz_H sieves [d, d] past it.  hurwitz_direct, which enumerates forms
-one d at a time, is only the oracle that the tests and the benchmark check
-the sieve by.  moment_H steps through the traces of its class by M and
-gathers slot (4n - t^2) >> 1.  For k >= 1 it sums t^k * 12 H(4n - t^2) as
-one int64 dot product whenever isqrt(4n)^k * (sum 12 H + 4) < 2^63 bounds
-every partial sum, and in Python ints otherwise.  The zeroth moment sums in
-Python ints up to _SUM_CROSSOVER terms, where that is faster, and as one int64
-sum past it.  Every moment_H is a multiple of 1/12 and every lambda_moment a
-multiple of 1/2, so cusp_coefficient and moment_via_reduction sum 12 times
-each term in Python ints and build one Fraction at the end.
+interleaved, adds the rest into an int32 window of slots, at most _CHUNK
+discriminants wide.  The shared table is the window from 0 in int64 slots,
+grown by sieving only what it lacks; hurwitz_H sieves [d, d] past it.
+hurwitz_direct, which enumerates forms one d at a time, is only the oracle
+that the tests and the benchmark check the sieve by.  moment_H steps through
+the traces of its class by M and gathers slot (4n - t^2) >> 1.  For k >= 1
+it sums t^k * 12 H(4n - t^2) as one int64 dot product whenever
+isqrt(4n)^k * (sum 12 H + 4) < 2^63 bounds every partial sum, and in Python
+ints otherwise.  The zeroth moment sums in Python ints up to _SUM_CROSSOVER
+terms, where that is faster, and as one int64 sum past it.
+moment_via_reduction takes every moment of k's parity from one such gather;
+its divisor sums cancel, so it reads no lambda_moment.  Every moment_H is a
+multiple of 1/12 and every lambda_moment a multiple of 1/2, so
+cusp_coefficient and moment_via_reduction sum 12 times each term in Python
+ints and build one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ _LAMBDA_N_CAP = 10**14
 # width of the rows a periodic pattern is added in, tiled up to it; of 64 ..
 # 65536 it was the fastest for tables of 10^6 to 4*10^6 on a 2-core machine
 _ROW = 4096
+# HurwitzTable sieves a wider window in pieces of this many discriminants,
+# 2^22 slots, so that the int32 window beside the int64 slots stays at 16 MB
+_CHUNK = 1 << 23
 # moment_H at k = 0: past this many terms int(h.sum()) beats sum(h.tolist());
 # the two cost the same at 45 to 55 terms (about 1.9 us) on a 2-core machine.
 # Summing every class in int64 raised the main-term-census benchmark's median
@@ -151,7 +157,8 @@ class HurwitzTable:
     table.
 
     Given a smaller table as base, its slots are copied and only the
-    discriminants in (base.limit, limit] are sieved.
+    discriminants in (base.limit, limit] are sieved, in consecutive windows of
+    at most _CHUNK discriminants written straight into the slots.
     """
 
     def __init__(self, limit: int, base: HurwitzTable | None = None):
@@ -162,7 +169,9 @@ class HurwitzTable:
         s0 = _slot_count(lo - 1)
         slots = np.empty(_slot_count(limit), dtype=np.int64)
         slots[:s0] = -1 if base is None else base.slots[:s0]  # 12 H(0) = -1
-        slots[s0:] = _sieve_range(lo, limit)
+        for a in range(lo, limit + 1, _CHUNK):
+            b = min(a + _CHUNK - 1, limit)
+            slots[_slot_count(a - 1) : _slot_count(b)] = _sieve_range(a, b)
         self.slots = slots
 
     def value(self, d: int) -> Fraction:
@@ -207,6 +216,31 @@ def hurwitz_H(d: int) -> Fraction:
     return Fraction(int(_sieve_range(d, d)[0]), 12)
 
 
+def _moment12(ks: range | tuple[int, ...], m: int, M: int, n: int) -> list[int]:
+    """12 times the k-th moment of H(4n - t^2) over t = m (mod M), for each k
+    in ks, from one gather of the class; moment_H documents the sums."""
+    tmax = math.isqrt(4 * n)
+    t = np.arange(-tmax + (m + tmax) % M, tmax + 1, M)
+    h = ensure_table(4 * n).slots[(4 * n - t * t) >> 1]
+    out = []
+    for k in ks:
+        if k == 0:
+            out.append(int(h.sum()) if h.size > _SUM_CROSSOVER else sum(h.tolist()))
+        # The bound: every |t| <= tmax, so with S = sum |h| each |t^k| is at
+        # most tmax^k and each |t^k h| and each partial sum of the dot at most
+        # tmax^k S.  The one negative entry of the table is 12 H(0) = -1, and
+        # 4n - t^2 = 0 only at t = +-2 sqrt(n), so h holds at most two -1s and
+        # every other entry is >= 0: S = sum h + 2 * #{-1s} <= sum h + 4, and
+        # sum h + 4 >= 2.  So tmax^k (sum h + 4) bounds both tmax^k S and
+        # tmax^k itself; below 2^63 neither t^k nor the dot overflows, and
+        # numpy's integer dot sums in int64 without BLAS, so it is exact.
+        elif t.size and tmax**k * (int(h.sum()) + 4) < 2**63:
+            out.append(int(np.dot(t**k, h)))
+        else:
+            out.append(sum(x**k * y for x, y in zip(t.tolist(), h.tolist())))
+    return out
+
+
 @lru_cache(maxsize=1 << 15)
 def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
     """k-th moment of H(4n - t^2) over t = m (mod M), including t = 0 and
@@ -222,23 +256,7 @@ def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
     """
     if k < 0 or M < 1 or n < 0:
         raise ValueError("moment_H requires k >= 0, M >= 1, n >= 0")
-    tmax = math.isqrt(4 * n)
-    t = np.arange(-tmax + (m + tmax) % M, tmax + 1, M)
-    h = ensure_table(4 * n).slots[(4 * n - t * t) >> 1]
-    if k == 0:
-        num = int(h.sum()) if h.size > _SUM_CROSSOVER else sum(h.tolist())
-    # The bound: every |t| <= tmax, so with S = sum |h| each |t^k| is at most
-    # tmax^k and each |t^k h| and each partial sum of the dot at most tmax^k S.
-    # The one negative entry of the table is 12 H(0) = -1, and 4n - t^2 = 0
-    # only at t = +-2 sqrt(n), so h holds at most two -1s and every other
-    # entry is >= 0: S = sum h + 2 * #{-1s} <= sum h + 4, and sum h + 4 >= 2.
-    # So tmax^k (sum h + 4) bounds both tmax^k S and tmax^k itself; below
-    # 2^63 neither t^k nor the dot overflows, and numpy's integer dot sums in
-    # int64 without BLAS, so it is exact.
-    elif t.size and tmax**k * (int(h.sum()) + 4) < 2**63:
-        num = int(np.dot(t**k, h))
-    else:
-        num = sum(x**k * y for x, y in zip(t.tolist(), h.tolist()))
+    (num,) = _moment12((k,), m, M, n)
     return Fraction(num, 12)
 
 
@@ -301,11 +319,13 @@ def _twelve(x: Fraction) -> int:
     return x.numerator * (12 // x.denominator)
 
 
-def _cusp12(k: int, m: int, M: int, n: int) -> int:
-    """12 times cusp_coefficient(k, m, M, n), summed in Python ints."""
-    total = _twelve(moment_H(k, m, M, n)) + _twelve(lambda_moment(k, m, M, n))
-    for mu in range(1, k // 2 + 1):
-        total += (-1) ** mu * math.comb(k - mu, mu) * n**mu * _twelve(moment_H(k - 2 * mu, m, M, n))
+def _cusp_sum(j: int, n: int, s: list[int]) -> int:
+    """12 M_j + sum over 1 <= nu <= j/2 of (-1)^nu binom(j - nu, nu) n^nu
+    12 M_{j - 2nu}, where s[i] = 12 M_{j mod 2 + 2i}: 12 times the cusp
+    coefficient of order j less its divisor sum 12 lambda(j)."""
+    total = s[j // 2]
+    for nu in range(1, j // 2 + 1):
+        total += (-1) ** nu * math.comb(j - nu, nu) * n**nu * s[j // 2 - nu]
     return total
 
 
@@ -315,23 +335,26 @@ def cusp_coefficient(k: int, m: int, M: int, n: int) -> Fraction:
     the sum of 12 times each term is an integer, divided by 12 once."""
     if k < 1:
         raise ValueError("cusp coefficients require k >= 1")
-    return Fraction(_cusp12(k, m, M, n), 12)
+    s = [_twelve(moment_H(j, m, M, n)) for j in range(k % 2, k + 1, 2)]
+    return Fraction(_cusp_sum(k, n, s) + _twelve(lambda_moment(k, m, M, n)), 12)
 
 
 def moment_via_reduction(k: int, m: int, M: int, n: int) -> Fraction:
     """k-th moment rebuilt from the zeroth moment, cusp coefficients and
     divisor sums; must agree with moment_H for every k >= 0.  At k = 0 the
-    rebuild degenerates to the zeroth moment itself.  Like cusp_coefficient
-    it sums 12 times each term in Python ints and divides by 12 once."""
-    if k < 0:
-        raise ValueError("the reduction applies to k >= 0")
+    rebuild degenerates to the zeroth moment itself.
+
+    Each cusp coefficient of order j = k - 2mu is its moment combination plus
+    the divisor sum lambda(j), and the rebuild subtracts lambda(j) again, so
+    no divisor sum is read: the rebuild is an identity in the moments of k's
+    parity, all of them summed from one gather of the class.  Like
+    cusp_coefficient it sums 12 times each term in Python ints and divides by
+    12 once."""
+    if k < 0 or M < 1 or n < 0:
+        raise ValueError("moment_via_reduction requires k >= 0, M >= 1, n >= 0")
+    s = _moment12(range(k % 2, k + 1, 2), m, M, n)  # s[i] = 12 M_{k mod 2 + 2i}
     ck = catalan_ext(k)
-    total = ck * n ** (k // 2) * _twelve(moment_H(0, m, M, n)) if ck else 0
+    total = ck * n ** (k // 2) * s[0] if ck else 0
     for mu in range((k - 1) // 2 + 1):
-        j = k - 2 * mu
-        total += (
-            reduction_coefficient(k, mu)
-            * (_cusp12(j, m, M, n) - _twelve(lambda_moment(j, m, M, n)))
-            * n**mu
-        )
+        total += reduction_coefficient(k, mu) * _cusp_sum(k - 2 * mu, n, s) * n**mu
     return Fraction(total, 12)

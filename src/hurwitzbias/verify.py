@@ -6,11 +6,12 @@ routes to one quantity (closed Gauss sums against direct summation, curve
 tallies against the moment route, the closed A1 and A2 against their
 character sums); the others compare against closed forms, a table, a sign
 rule or a tolerance.  Not every pair of routes is independent: `moments`
-rebuilds moment_H from cusp_coefficient, which is itself built from
-moment_H.  run_suite builds the report, times the suite and checks its
-runtime bound.  The suites double as the package's acceptance gates, so
-they are deliberately exhaustive rather than sampled, and deterministic
-across runs.
+rebuilds moment_H from its own cusp combinations, an identity in the
+moments; its independent part is the level-one check of cusp_coefficient
+against Hecke traces from integer q-expansions.  run_suite builds the
+report, times the suite and checks its runtime bound.  The suites double
+as the package's acceptance gates, so they are deliberately exhaustive
+rather than sampled, and deterministic across runs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .characters import gauss_quad_closed, gauss_quad_direct
 from .eisenstein import residual_rows
 from .frobenius import S_direct, S_via_moments, trace_mass_table
 from .hurwitz import (
+    cusp_coefficient,
     lambda_moment,
     moment_H,
     moment_via_reduction,
@@ -177,13 +179,60 @@ def suite_schoof(rep: VerifySuiteReport) -> None:
                     rep.check(lhs == rhs, f"r={r} k={k} m={m} M={M} p={p}", rhs, lhs)
 
 
-def suite_moments(rep: VerifySuiteReport) -> None:
-    """moment_via_reduction equals moment_H exactly for k <= 6, M <= 6, n <= 200.
+def _q_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two q-expansions, to the length of the shorter."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(min(len(a), len(b)))]
 
-    This checks the reduction coefficients and the bookkeeping of the
-    rebuild, not the moments themselves: the rebuild reads cusp_coefficient,
-    which is built from moment_H, so the identity holds whatever moment_H
-    returns.
+
+def _q_eisenstein(c: int, r: int, N: int) -> list[int]:
+    """1 + c * sum_{n >= 1} sigma_r(n) q^n, to q^(N-1)."""
+    coeffs = [1] + [0] * (N - 1)
+    for d in range(1, N):
+        for n in range(d, N, d):
+            coeffs[n] += c * d**r
+    return coeffs
+
+
+def _q_delta(N: int) -> list[int]:
+    """Delta = q prod_{i >= 1} (1 - q^i)^24, to q^(N-1)."""
+    f = [1] + [0] * (N - 2)
+    for i in range(1, N - 1):
+        for _ in range(24):
+            for n in range(N - 2, i - 1, -1):
+                f[n] -= f[n - i]
+    return [0] + f
+
+
+# Orders k whose weight k + 2 has no cusp form of level one
+EMPTY_CUSP_ORDERS = (2, 4, 6, 8, 12)
+CUSP_FORM_MAX_N = 100
+
+
+def level_one_cusp_forms(N: int) -> dict[int, list[int]]:
+    """The normalised eigenform spanning S_{k+2}(SL_2(Z)) for each k where
+    that space has dimension one, as its first N integer coefficients."""
+    delta, e4, e6 = _q_delta(N), _q_eisenstein(240, 3, N), _q_eisenstein(-504, 5, N)
+    delta_e4 = _q_mul(delta, e4)
+    delta_e4e4 = _q_mul(delta_e4, e4)
+    return {10: delta, 14: delta_e4, 16: _q_mul(delta, e6), 18: delta_e4e4,
+            20: _q_mul(delta_e4, e6), 24: _q_mul(delta_e4e4, e6)}
+
+
+def suite_moments(rep: VerifySuiteReport) -> None:
+    """moment_via_reduction equals moment_H exactly for k <= 6, M <= 6,
+    n <= 200, and at M = 1 the cusp coefficients are Hecke traces.
+
+    The first part checks the reduction coefficients and the bookkeeping of
+    the rebuild, not the moments themselves: the rebuild is an identity in
+    the moments, so it holds whatever moment_H returns.
+
+    The second part is independent of the moments.  By Eichler-Selberg,
+    cusp_coefficient(k, 1, 1, n) = -2 Tr T_n on S_{k+2}(SL_2(Z)).  For
+    n <= 100 it is checked against -2 a_n(f) where that space is spanned by
+    one eigenform f (k = 10, 14, 16, 18, 20, 24: Delta times E4^i E6^j), and
+    against 0 where it is empty (k = 2, 4, 6, 8, 12).  The expected values are
+    integer q-expansions of Delta, E4 and E6 and read neither moment_H nor the
+    sieve.  Odd k is left out: the moments vanish at M = 1 by t -> -t.
     """
     for k in range(7):
         for M in range(1, 7):
@@ -192,6 +241,13 @@ def suite_moments(rep: VerifySuiteReport) -> None:
                     a = moment_via_reduction(k, m, M, n)
                     b = moment_H(k, m, M, n)
                     rep.check(a == b, f"k={k} m={m} M={M} n={n}", b, a)
+    N = CUSP_FORM_MAX_N + 1
+    forms = level_one_cusp_forms(N)
+    forms.update((k, [0] * N) for k in EMPTY_CUSP_ORDERS)
+    for k, f in sorted(forms.items()):
+        for n in range(1, N):
+            got = cusp_coefficient(k, 1, 1, n)
+            rep.check(got == -2 * f[n], f"cusp k={k} M=1 n={n}", -2 * f[n], got)
 
 
 def suite_bias_routes(rep: VerifySuiteReport) -> None:

@@ -151,6 +151,15 @@ def test_table_grows_through_every_residue_class():
         assert_table_is(table, strided_sieve(limit))
 
 
+def test_table_sieves_wide_windows_in_pieces(monkeypatch):
+    # pieces of 61 discriminants, so that a build and a growth step cross
+    # piece boundaries in every class mod 4 and mid-period
+    monkeypatch.setattr(hurwitz, "_CHUNK", 61)
+    table = HurwitzTable(1000)
+    assert_table_is(table, strided_sieve(1000))
+    assert_table_is(HurwitzTable(5003, table), strided_sieve(5003))
+
+
 def test_slot_window_has_int32_headroom():
     # a slot of the int32 window collects, per a, the weights of the forms
     # (a, b, c) at its d, at most one per b and at most 24 (a + 1) in all,
@@ -402,32 +411,33 @@ def test_integer_sums_equal_the_fraction_sums():
                         assert cusp_coefficient(k, m, M, n) == want, (k, m, M, n)
 
 
-def test_integer_sums_read_the_moments_as_the_fraction_sums_did(monkeypatch):
-    # the same moment_H and lambda_moment calls, in the same order, so the
-    # caches see the same traffic
-    calls = []
-    for name in ("moment_H", "lambda_moment"):
-        fn = getattr(hurwitz, name)
-        monkeypatch.setattr(hurwitz, name, lambda *a, fn=fn, name=name: calls.append((name, a)) or fn(*a))
-    for k in range(10):
-        for f, ref in ((moment_via_reduction, reduction_by_fractions), (cusp_coefficient, cusp_by_fractions)):
-            if f is cusp_coefficient and k == 0:
-                continue
-            calls.clear()
-            f(k, 2, 5, 97)
-            got = list(calls)
-            calls.clear()
-            ref(k, 2, 5, 97)
-            assert got == calls, (f.__name__, k)
-
-
 def test_moment_via_reduction_matches():
     for k in range(1, 5):
         for M in (1, 2, 3, 4):
             for m in range(1, M + 1):
-                for n in (1, 2, 3, 5, 8, 12, 20, 36):
+                for n in (0, 1, 2, 3, 5, 8, 12, 20, 36):
                     assert moment_via_reduction(k, m, M, n) == moment_H(k, m, M, n)
 
 
 def test_moment_via_reduction_value():
     assert moment_via_reduction(2, 0, 1, 5) == moment_H(2, 0, 1, 5) == 48
+
+
+def test_moment_via_reduction_rejects_bad_arguments():
+    for args in ((-1, 1, 1, 5), (2, 1, 0, 5), (2, 1, 1, -1)):
+        with pytest.raises(ValueError):
+            moment_via_reduction(*args)
+
+
+# tau(1), ..., tau(12): the coefficients of Delta = q prod (1 - q^i)^24
+TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944)
+
+
+def test_cusp_coefficient_at_level_one_is_minus_twice_the_hecke_trace():
+    # Eichler-Selberg: cusp_coefficient(k, 1, 1, n) = -2 Tr T_n on
+    # S_{k+2}(SL_2(Z)), which is -2 tau(n) on S_12 = C Delta and 0 where
+    # S_{k+2} = 0
+    for n, tau in enumerate(TAU, 1):
+        assert cusp_coefficient(10, 1, 1, n) == -2 * tau, n
+        for k in (2, 4, 6, 8, 12):
+            assert cusp_coefficient(k, 1, 1, n) == 0, (k, n)
