@@ -4,18 +4,15 @@ reduction of higher moments to the zeroth one.
 One route serves the class numbers: a sieve that counts reduced forms
 (a, b, c) once for a window [lo, hi] of discriminants.  Only d = 0, 3
 (mod 4) has forms, so every table is kept by slot: d sits at slot d >> 1,
-4i at 2i and 4i + 3 at 2i + 1.  Per a, one scatter adds the terms below
+4i at 2i and 4i + 3 at 2i + 1.  Per a, two scatters add the terms below
 d = 4a^2 + 4a, and one pattern of period 2a, the even and odd slots
-interleaved, adds the rest into an int32 window of slots, at most _CHUNK
-discriminants wide.  The shared table is the window from 0 in int64 slots,
-grown by sieving only what it lacks; hurwitz_H sieves [d, d] past it.
-hurwitz_direct, which enumerates forms one d at a time, is only the oracle
-that the tests and the benchmark check the sieve by.  moment_H steps through
-the traces of its class by M and gathers slot (4n - t^2) >> 1.  For k >= 1
-it sums t^k * 12 H(4n - t^2) as one int64 dot product whenever
-isqrt(4n)^k * (sum 12 H + 4) < 2^63 bounds every partial sum, and in Python
-ints otherwise.  The zeroth moment sums in Python ints up to _SUM_CROSSOVER
-terms, where that is faster, and as one int64 sum past it.
+interleaved, adds the rest into an int32 window of slots.  The shared table
+is the window from 0, int32 slots grown by sieving only what it lacks in
+place; hurwitz_H sieves [d, d] past it.  hurwitz_direct, which enumerates
+forms one d at a time, is only the oracle that the tests and the benchmark
+check the sieve by.  moment_H steps through the traces of its class by M,
+gathers slot (4n - t^2) >> 1 and sums in int64 wherever a bound proves
+that exact, in Python ints otherwise.
 moment_via_reduction takes every moment of k's parity from one such gather;
 its divisor sums cancel, so it reads no lambda_moment.  Every moment_H is a
 multiple of 1/12 and every lambda_moment a multiple of 1/2, so
@@ -39,10 +36,10 @@ _LAMBDA_N_CAP = 10**14
 # width of the rows a periodic pattern is added in, tiled up to it; of 64 ..
 # 65536 it was the fastest for tables of 10^6 to 4*10^6 on a 2-core machine
 _ROW = 4096
-# HurwitzTable sieves a wider window in pieces of this many discriminants,
-# 2^22 slots, so that the int32 window beside the int64 slots stays at 16 MB
+# HurwitzTable sieves a wider window in pieces of this many discriminants: at
+# 4*10^7, 14.1-14.7 s against 15.1-19.9 s in one piece on a 2-core machine
 _CHUNK = 1 << 23
-# moment_H at k = 0: past this many terms int(h.sum()) beats sum(h.tolist());
+# moment_H at k = 0: past this many terms an int64 sum beats sum(h.tolist());
 # the two cost the same at 45 to 55 terms (about 1.9 us) on a 2-core machine.
 # Summing every class in int64 raised the main-term-census benchmark's median
 # query latency by 3.9% (10 of 10 alternated runs), so both sums stay.
@@ -102,27 +99,27 @@ def _slot_count(limit: int) -> int:
     return limit // 4 + (limit + 1) // 4 + 1
 
 
-def _sieve_range(lo: int, hi: int) -> np.ndarray:
+def _sieve_range(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """12 H(d) for every slot d = 0, 3 (mod 4) with lo <= d <= hi: the sum of
     the weighted reduced forms (a, b, c) with 4ac - b^2 = d, in units of 1/12.
 
-    Slot d >> 1 holds d, so 4i is slot 2i and 4i + 3 is slot 2i + 1, and the
-    window's entry s holds slot _slot_count(lo - 1) + s.  For each a and
-    0 <= b <= a, c = a is the head term at d = 4a^2 - b^2 (weight 6, 4 or 12)
-    and c > a is a tail with weight 12 or 24 at every d = 4a^2 - b^2 + 4aj,
-    j >= 1.  A tail steps by 2a slots, even b through the even slots and odd
-    b through the odd ones, at residue (4a^2 - b^2) >> 1 (mod 2a).  From slot
-    2(a^2 + a) (d >= 4a^2 + 4a) on every tail is running, so each a adds one
-    pattern of period 2a, the two parities interleaved.  The heads and the
-    tail terms below d = 4a^2 + 4a go into their slots by one scatter, each
-    b's run of j clipped to [lo, hi] first, through np.add.at because two of
-    them land on the same d whenever b1^2 = b2^2 (mod 4a).  The window is
-    int32: an entry collects, per a, at most one form per b, at most
-    24 (a + 1), and that sum stays below 2^31 up to _TABLE_HARD_LIMIT.  The
-    scatter weights are int32 too, which keeps np.add.at on its fast path.
+    The window's entry s holds slot _slot_count(lo - 1) + s, slot d >> 1
+    holding d.  For each a and 0 <= b <= a, c = a is the head term at
+    d = 4a^2 - b^2 (weight 6, 4 or 12) and c > a is a tail with weight 12 or
+    24 at every d = 4a^2 - b^2 + 4aj, j >= 1.  A tail steps by 2a slots, even
+    b through the even slots and odd b through the odd ones, at residue
+    (4a^2 - b^2) >> 1 (mod 2a).  From slot 2(a^2 + a) (d >= 4a^2 + 4a) on
+    every tail is running, so each a adds one pattern of period 2a, the two
+    parities interleaved.  The heads, then the tail terms below 4a^2 + 4a, go
+    into their slots by one scatter each, each b's run of j clipped to
+    [lo, hi] first, through np.add.at because two of them land on the same d
+    whenever b1^2 = b2^2 (mod 4a).  The window, out if given (a zero-filled
+    contiguous view), is int32: an entry collects, per a, at most one form
+    per b, at most 24 (a + 1), and that sum stays below 2^31 up to
+    _TABLE_HARD_LIMIT.  The int32 scatter weights keep np.add.at fast.
     """
     s0 = _slot_count(lo - 1)  # the first slot with lo <= d
-    h = np.zeros(_slot_count(hi) - s0, dtype=np.int32)
+    h = np.zeros(_slot_count(hi) - s0, dtype=np.int32) if out is None else out
     for a in range(1, math.isqrt(hi // 3) + 1):
         step = 4 * a
         b = np.arange(a + 1)
@@ -133,14 +130,14 @@ def _sieve_range(lo: int, hi: int) -> np.ndarray:
             head = np.full(a + 1, 12, dtype=np.int32)
             head[0], head[a] = 6, 4
             keep = (d0 >= lo) & (d0 <= hi)
+            np.add.at(h, (d0[keep] >> 1) - s0, head[keep])
             # tail terms below the periodic start, j = 1 .. ceil(b^2 / 4a), in [lo, hi]
             first = np.maximum(-((d0 - lo) // step), 1)
             last = np.minimum(-(-b * b // step), (hi - d0) // step)
             runs = np.maximum(last - first + 1, 0)
-            run0 = d0 + step * (first - np.cumsum(runs) + runs)
-            d = np.repeat(run0, runs) + np.arange(0, step * runs.sum(), step)
-            np.add.at(h, (np.concatenate((d0[keep], d)) >> 1) - s0,
-                      np.concatenate((head[keep], np.repeat(tail, runs))))
+            slot = np.repeat((d0 >> 1) - s0 + 2 * a * (first - np.cumsum(runs) + runs), runs)
+            slot += np.arange(0, 2 * a * slot.size, 2 * a)
+            np.add.at(h, slot, np.repeat(tail, runs))
         start = 2 * (a * a + a)
         if 2 * start > hi:
             continue
@@ -151,14 +148,14 @@ def _sieve_range(lo: int, hi: int) -> np.ndarray:
 
 class HurwitzTable:
     """12*H(d) for every d = 0, 3 (mod 4) with 0 <= d <= limit, built by a
-    periodic sieve.  The int64 array slots holds d at slot d >> 1: 4i at
+    periodic sieve.  The int32 array slots holds d at slot d >> 1: 4i at
     slot 2i and 4i + 3 at slot 2i + 1.  No other d has forms, so the slots
     skip the zeros at d = 1, 2 (mod 4) and take half the length of a dense
-    table.
+    table; _sieve_range bounds every entry below 2^31.
 
-    Given a smaller table as base, its slots are copied and only the
-    discriminants in (base.limit, limit] are sieved, in consecutive windows of
-    at most _CHUNK discriminants written straight into the slots.
+    Given a smaller table as base, its slots are copied and only (base.limit,
+    limit] is sieved, in place in pieces of at most _CHUNK discriminants, so a
+    growth holds only the base and the new table.
     """
 
     def __init__(self, limit: int, base: HurwitzTable | None = None):
@@ -167,12 +164,11 @@ class HurwitzTable:
         self.limit = limit
         lo = 1 if base is None else min(base.limit, limit) + 1
         s0 = _slot_count(lo - 1)
-        slots = np.empty(_slot_count(limit), dtype=np.int64)
+        self.slots = slots = np.zeros(_slot_count(limit), dtype=np.int32)
         slots[:s0] = -1 if base is None else base.slots[:s0]  # 12 H(0) = -1
         for a in range(lo, limit + 1, _CHUNK):
             b = min(a + _CHUNK - 1, limit)
-            slots[_slot_count(a - 1) : _slot_count(b)] = _sieve_range(a, b)
-        self.slots = slots
+            _sieve_range(a, b, slots[_slot_count(a - 1) : _slot_count(b)])
 
     def value(self, d: int) -> Fraction:
         if d > self.limit:
@@ -182,8 +178,10 @@ class HurwitzTable:
         return Fraction(int(self.slots[d >> 1]), 12)
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
-        """12*H(d) for lo <= d <= hi <= limit as one int64 array, the zeros at
+        """12*H(d) for 0 <= lo <= hi <= limit as one int64 array, the zeros at
         d = 1, 2 (mod 4) included."""
+        if not 0 <= lo <= hi <= self.limit:
+            raise ValueError(f"[{lo}, {hi}] is not a range of d in [0, {self.limit}]")
         out = np.zeros(hi - lo + 1, dtype=np.int64)
         for r in (0, 3):
             first = lo + (r - lo) % 4  # the first d >= lo with d = r (mod 4)
@@ -222,19 +220,23 @@ def _moment12(ks: range | tuple[int, ...], m: int, M: int, n: int) -> list[int]:
     tmax = math.isqrt(4 * n)
     t = np.arange(-tmax + (m + tmax) % M, tmax + 1, M)
     h = ensure_table(4 * n).slots[(4 * n - t * t) >> 1]
+    kmax = max(ks)
+    if not kmax:  # ks is (0,)
+        return [int(h.sum(dtype=np.int64)) if h.size > _SUM_CROSSOVER else sum(h.tolist())]
+    h = h.astype(np.int64)  # numpy's int64 sum and dots beat its int32-casting ones
+    total = int(h.sum())
+    # The bound: every |t| <= tmax, and the one negative entry of the table,
+    # 12 H(0) = -1, sits only at t = +-2 sqrt(n), so S = sum |h| <= sum h + 4
+    # and sum h + 4 >= 2.  Each |t^k|, |t^k h| and partial sum of the dot is
+    # then at most tmax^k (sum h + 4), which does not fall as k grows: below
+    # 2^63 at kmax nothing overflows, and numpy's integer dot sums without
+    # BLAS, so it is exact.
+    wide = t.size and tmax**kmax * (total + 4) < 2**63
     out = []
     for k in ks:
         if k == 0:
-            out.append(int(h.sum()) if h.size > _SUM_CROSSOVER else sum(h.tolist()))
-        # The bound: every |t| <= tmax, so with S = sum |h| each |t^k| is at
-        # most tmax^k and each |t^k h| and each partial sum of the dot at most
-        # tmax^k S.  The one negative entry of the table is 12 H(0) = -1, and
-        # 4n - t^2 = 0 only at t = +-2 sqrt(n), so h holds at most two -1s and
-        # every other entry is >= 0: S = sum h + 2 * #{-1s} <= sum h + 4, and
-        # sum h + 4 >= 2.  So tmax^k (sum h + 4) bounds both tmax^k S and
-        # tmax^k itself; below 2^63 neither t^k nor the dot overflows, and
-        # numpy's integer dot sums in int64 without BLAS, so it is exact.
-        elif t.size and tmax**k * (int(h.sum()) + 4) < 2**63:
+            out.append(total)
+        elif wide:
             out.append(int(np.dot(t**k, h)))
         else:
             out.append(sum(x**k * y for x, y in zip(t.tolist(), h.tolist())))
@@ -247,12 +249,9 @@ def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
     the boundary terms t^2 = 4n (where H(0) = -1/12).
 
     For k >= 1 the sum is one int64 dot product of t^k with the gathered
-    12 H values whenever tmax^k * (sum 12 H + 4) < 2^63, which bounds every
-    partial sum; past that bound, and for an empty class, it is summed in
-    Python ints.  k = 0 sums in Python ints up to _SUM_CROSSOVER terms, where
-    the numpy reduction costs more than it saves, and as one int64 sum past
-    it (2001 terms at M = 1, n = 250000).  That sum cannot overflow: a class
-    has at most 14,143 terms (4n <= 5 * 10^7), each below 2^31.
+    12 H values whenever tmax^k * (sum 12 H + 4) < 2^63, else Python ints.
+    k = 0 sums in Python ints up to _SUM_CROSSOVER terms and in int64 past
+    them, safely: a class has at most 14,143 terms, each below 2^31.
     """
     if k < 0 or M < 1 or n < 0:
         raise ValueError("moment_H requires k >= 0, M >= 1, n >= 0")

@@ -13,6 +13,7 @@ from hurwitzbias.hurwitz import (
     _TABLE_HARD_LIMIT,
     HurwitzTable,
     _sieve_range,
+    _slot_count,
     cusp_coefficient,
     ensure_table,
     hurwitz_H,
@@ -125,12 +126,13 @@ def assert_table_is(table, want):
 
 
 def test_slot_count_and_dtype():
-    # one int64 slot per d = 0, 3 (mod 4) up to the limit, and an int32
-    # window per sieved range
+    # one int32 slot, 4 bytes, per d = 0, 3 (mod 4) up to the limit, and an
+    # int32 window per sieved range
     for limit in range(65):
         slots = sum(d % 4 in (0, 3) for d in range(limit + 1))
         table = HurwitzTable(limit)
-        assert table.slots.dtype == np.int64 and table.slots.shape == (slots,), limit
+        assert table.slots.dtype == np.int32 and table.slots.shape == (slots,), limit
+        assert table.slots.nbytes == 4 * _slot_count(limit), limit
         window = _sieve_range(1, limit)
         assert window.dtype == np.int32 and window.shape == (slots - 1,), limit
 
@@ -153,7 +155,9 @@ def test_table_grows_through_every_residue_class():
 
 def test_table_sieves_wide_windows_in_pieces(monkeypatch):
     # pieces of 61 discriminants, so that a build and a growth step cross
-    # piece boundaries in every class mod 4 and mid-period
+    # piece boundaries in every class mod 4 and mid-period; each piece is
+    # sieved in place in a view of the slots, so an add lost to a copy (a
+    # reshape of a view that is not contiguous) would show here
     monkeypatch.setattr(hurwitz, "_CHUNK", 61)
     table = HurwitzTable(1000)
     assert_table_is(table, strided_sieve(1000))
@@ -161,9 +165,10 @@ def test_table_sieves_wide_windows_in_pieces(monkeypatch):
 
 
 def test_slot_window_has_int32_headroom():
-    # a slot of the int32 window collects, per a, the weights of the forms
-    # (a, b, c) at its d, at most one per b and at most 24 (a + 1) in all,
-    # per a that the largest guarded table sieves
+    # an int32 slot, of the table or of a window, collects per a the weights
+    # of the forms (a, b, c) at its d, at most one per b and at most
+    # 24 (a + 1) in all, per a that the largest guarded table sieves; so
+    # every stored 12 H(d) up to the cap fits
     a_max = math.isqrt(_TABLE_HARD_LIMIT // 3)
     assert 24 * sum(a + 1 for a in range(1, a_max + 1)) < 2**31
 
@@ -185,6 +190,46 @@ def test_table_grows_in_a_chain():
         window = _sieve_range(lo, hi)
         want = [h[d] for d in range(lo, hi + 1) if d % 4 in (0, 3)]
         assert window.tolist() == want, (lo, hi)
+
+
+def test_growth_leaves_its_base_alone():
+    # a growth copies the base's slots into a new array and writes only there
+    base = HurwitzTable(1000)
+    before = base.slots.copy()
+    grown = HurwitzTable(5003, base)
+    assert np.array_equal(base.slots, before)
+    assert not np.shares_memory(grown.slots, base.slots)
+    assert np.array_equal(grown.slots[: before.size], before)
+
+
+def test_failed_growth_keeps_the_shared_table(monkeypatch):
+    # a sieve that raises mid-build leaves the shared table as it was: the new
+    # table is bound only once it is complete
+    monkeypatch.setattr(hurwitz, "_CHUNK", 61)
+    monkeypatch.setattr(hurwitz, "_table", HurwitzTable(100))
+    table, before = hurwitz._table, hurwitz._table.slots.copy()
+    sieve, pieces = hurwitz._sieve_range, []
+
+    def failing(lo, hi, out=None):
+        pieces.append((lo, hi))
+        if len(pieces) == 3:
+            raise MemoryError("sieve failed mid-build")
+        return sieve(lo, hi, out)
+
+    monkeypatch.setattr(hurwitz, "_sieve_range", failing)
+    with pytest.raises(MemoryError):
+        ensure_table(1000)
+    assert len(pieces) == 3
+    assert hurwitz._table is table and np.array_equal(table.slots, before)
+    assert hurwitz_H(100) == hurwitz_direct(100)
+
+
+def test_dense_reads_only_inside_its_table():
+    table = HurwitzTable(100)
+    for lo, hi in ((98, 107), (-8, -1), (5, 3)):
+        with pytest.raises(ValueError, match=r"not a range of d in \[0, 100\]"):
+            table.dense(lo, hi)
+    assert np.array_equal(table.dense(95, 100), strided_sieve(100)[95:])
 
 
 def test_table_at_its_reference_size():
