@@ -4,12 +4,18 @@ reduction of higher moments to the zeroth one.
 One route serves the class numbers: a sieve that counts reduced forms
 (a, b, c) once for a window [lo, hi] of discriminants.  Only d = 0, 3
 (mod 4) has forms, so every table is kept by slot: d sits at slot d >> 1,
-4i at 2i and 4i + 3 at 2i + 1.  Per a, two scatters add the terms below
+4i at 2i and 4i + 3 at 2i + 1.  Per a, scatters add the terms below
 d = 4a^2 + 4a, and one pattern of period 2a, the even and odd slots
-interleaved, adds the rest into an int32 window of slots.  The shared table
-is the window from 0, int32 slots grown by sieving only what it lacks in
-place; hurwitz_H sieves [d, d] past it.  hurwitz_direct, which enumerates
-forms one d at a time, is only the oracle that the tests and the benchmark
+interleaved, adds the rest into an int32 window of slots.  The a whose
+patterns start at or before the window's first slot, a <= root, fold:
+each joins the pattern of a common period 2L, L = a (root // a), so they
+take one pass per L in (root / 2, root] rather than one per a.  Only
+these fold, since a pattern that starts inside the window is zero before
+its start; and each L's pattern is built just before its pass, so the
+patterns held at once stay O(root) long.  The shared table is the window
+from 0, int32 slots grown by sieving only what it lacks in place;
+hurwitz_H sieves [d, d] past it.  hurwitz_direct, which enumerates forms
+one d at a time, is only the oracle that the tests and the benchmark
 check the sieve by.  moment_H steps through the traces of its class by M,
 gathers slot (4n - t^2) >> 1 and sums in int64 wherever a bound proves
 that exact, in Python ints otherwise.
@@ -39,6 +45,12 @@ _ROW = 4096
 # HurwitzTable sieves a wider window in pieces of this many discriminants: at
 # 4*10^7, 14.1-14.7 s against 15.1-19.9 s in one piece on a 2-core machine
 _CHUNK = 1 << 23
+# _sieve_range sets up about this many (a, b) pairs at once.  Of 2^10 .. 2^16,
+# 2^14 kept the 4*10^6 -> 8*10^6 growth's peak above its new slots at 3.1 MiB
+# (2^10: 2.7, 2^15: 3.7, 2^16: 5.0), with the 62,500 -> 10^6 doubling chain
+# at 35 ms (2^10: 55, 2^12: 37, 2^15: 34) and the window [d, d] at
+# d = 40000003 at 38 ms (2^10: 89, 2^12: 72, 2^15: 31), on a 2-core machine
+_BLOCK = 1 << 14
 # moment_H at k = 0: past this many terms an int64 sum beats sum(h.tolist());
 # the two cost the same at 45 to 55 terms (about 1.9 us) on a 2-core machine.
 # Summing every class in int64 raised the main-term-census benchmark's median
@@ -75,28 +87,119 @@ def hurwitz_direct(d: int) -> Fraction:
     return total
 
 
-def _add_periodic(q: np.ndarray, first: int, start: int, pattern: np.ndarray) -> None:
-    """q[k] += pattern[(first + k) % len(pattern)] wherever first + k >= start.
+def _add_periodic(q: np.ndarray, k0: int, pattern: np.ndarray) -> None:
+    """q[k] += pattern[k % len(pattern)] for every k >= k0.
 
-    q holds the slots first, first + 1, ... of a window.  The pattern is
-    tiled up to _ROW, so that a short period still adds in long rows: at
-    a = 1 rows of two entries cost more than the adds they save.
+    The pattern is tiled up to _ROW, so that a short period still adds in
+    long rows: at a = 1 rows of two entries cost more than the adds they
+    save.  A window shorter than a row tiles only what it reads.
     """
-    k0 = max(start - first, 0)
-    if k0 >= q.size:
+    n = q.size - k0
+    if n <= 0:
         return
     a = pattern.size
     row = a * -(-_ROW // a)
-    shift = (first + k0) % a
-    pattern = pattern[None].repeat(row // a + 1, 0).ravel()[shift : shift + row]
-    stop = q.size - (q.size - k0) % row
-    q[k0:stop].reshape(-1, row)[...] += pattern
+    shift = k0 % a
+    pattern = pattern[None].repeat(-(-(shift + min(row, n)) // a), 0).ravel()[shift : shift + row]
+    stop = q.size - n % row
+    if stop > k0:
+        q[k0:stop].reshape(-1, row)[...] += pattern
     q[stop:] += pattern[: q.size - stop]
 
 
 def _slot_count(limit: int) -> int:
     """The number of slots, d = 0, 3 (mod 4), with 0 <= d <= limit."""
     return limit // 4 + (limit + 1) // 4 + 1
+
+
+def _chunks(cost: np.ndarray, key: np.ndarray):
+    """Yield the runs [i, j) that cut a sequence into pieces of about _BLOCK
+    in total cost, each at least one item long and never splitting a run of
+    equal keys (key is nondecreasing)."""
+    ends = np.cumsum(cost)
+    i = 0
+    while i < cost.size:
+        j = max(int(np.searchsorted(ends, ends[i] - cost[i] + _BLOCK, "right")), i + 1)
+        j = int(np.searchsorted(key, key[j - 1], "right"))
+        yield i, j
+        i = j
+
+
+def _add_patterns(h: np.ndarray, a: np.ndarray, period: np.ndarray, s0: int) -> None:
+    """Add into the window h, which starts at slot s0, the periodic parts of
+    the a: each a's pattern, tiled to period 2L for its L in period (a
+    multiple of a, nondecreasing), is summed into L's, and each L's pattern
+    takes one pass from its start 2(L^2 + L) or from s0 if that is later.
+
+    A pattern is read from slot s0 on, entry k for slot s0 + k, and is cut
+    to the window's width when that is shorter than 2L.  The patterns are
+    built by one np.bincount."""
+    width = h.size
+    new = np.r_[True, period[1:] != period[:-1]]
+    L = period[new]
+    size = np.minimum(2 * L, width)
+    seg = np.cumsum(size) - size
+    g = np.cumsum(new) - 1  # each a's segment
+    n = a + 1
+    first = np.cumsum(n) - n
+    twice = np.repeat((2 * a).astype(np.int32), n)
+    # k starts as b: the tail (a, b) runs through the slots
+    # (4a^2 - b^2) >> 1 (mod 2a), which are s0 + k for
+    # k = -(ceil(b^2 / 2) + s0) (mod 2a)
+    k = np.arange(twice.size, dtype=np.int32) - np.repeat(first.astype(np.int32), n)
+    k *= k
+    np.subtract(-2 * s0, k, out=k)
+    k >>= 1
+    k %= twice
+    w = np.full(k.size, 24.0)
+    w[first] = w[first + a] = 12.0  # b = 0 and b = a
+    off = np.repeat(seg[g], n)
+    reps = -(-size[g] // (2 * a))  # each a's copies of its period in its segment
+    if reps.max() > 1:
+        reps = np.repeat(reps, n)
+        start = np.cumsum(reps) - reps
+        copy = np.arange(reps.sum()) - np.repeat(start, reps)
+        k = np.repeat(k, reps) + np.repeat(twice, reps) * copy
+        w, off = np.repeat(w, reps), np.repeat(off, reps)
+    if width < 2 * L[-1]:  # a segment cut to the window: drop what falls past it
+        keep = np.flatnonzero(k < width)
+        k, w, off = k[keep], w[keep], off[keep]
+    pat = np.bincount(k + off, weights=w, minlength=int(seg[-1] + size[-1])).astype(np.int32)
+    for p, o, m in zip(L.tolist(), seg.tolist(), size.tolist()):
+        _add_periodic(h, max(2 * (p * p + p) - s0, 0), pat[o : o + m])
+
+
+def _heads_and_tails(
+    h: np.ndarray, a: np.ndarray, b0: np.ndarray, lo: int, hi: int, s0: int
+) -> None:
+    """Add into the window h of [lo, hi], which starts at slot s0, the heads
+    and the tail terms below the periodic start of the pairs (a, b),
+    b0 <= b <= a, of the a: the heads by one scatter, the tails by one per a."""
+    n = a + 1 - b0
+    first_pair = np.cumsum(n) - n
+    A = np.repeat(a.astype(np.int32), n)
+    B = np.arange(A.size, dtype=np.int32) + np.repeat((b0 - first_pair).astype(np.int32), n)
+    d0 = 4 * A * A - B * B
+    ends = (B == 0) | (B == A)
+    keep = np.flatnonzero((d0 >= lo) & (d0 <= hi))
+    if keep.size:
+        head = np.where(B[keep] == 0, 6, np.where(ends[keep], 4, 12)).astype(np.int32)
+        np.add.at(h, (d0[keep] >> 1) - s0, head)
+    tail = np.where(ends, 12, 24).astype(np.int32)
+    # the tail terms j = 1 .. ceil(b^2 / 4a) in [lo, hi], numbered e across
+    # the pairs: e lands at slot s0 + base + 2ae
+    step = 4 * A
+    first = np.maximum(-((d0 - lo) // step), 1)
+    runs = np.maximum(np.minimum(-(-B * B // step), (hi - d0) // step) - first + 1, 0)
+    stop = np.cumsum(runs)
+    base = (d0 >> 1) - s0 + 2 * A * (first - stop + runs)
+    del A, B, d0, ends, keep, step, first  # the set-up's memory, before the scatters
+    for x, u, m in zip(a.tolist(), first_pair.tolist(), n.tolist()):
+        e0, e1 = int(stop[u] - runs[u]), int(stop[u + m - 1])
+        if e1 > e0:
+            slot = np.repeat(base[u : u + m], runs[u : u + m])
+            slot += np.arange(2 * x * e0, 2 * x * e1, 2 * x)
+            np.add.at(h, slot, np.repeat(tail[u : u + m], runs[u : u + m]))
 
 
 def _sieve_range(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -110,39 +213,64 @@ def _sieve_range(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     b through the even slots and odd b through the odd ones, at residue
     (4a^2 - b^2) >> 1 (mod 2a).  From slot 2(a^2 + a) (d >= 4a^2 + 4a) on
     every tail is running, so each a adds one pattern of period 2a, the two
-    parities interleaved.  The heads, then the tail terms below 4a^2 + 4a, go
-    into their slots by one scatter each, each b's run of j clipped to
-    [lo, hi] first, through np.add.at because two of them land on the same d
-    whenever b1^2 = b2^2 (mod 4a).  The window, out if given (a zero-filled
-    contiguous view), is int32: an entry collects, per a, at most one form
-    per b, at most 24 (a + 1), and that sum stays below 2^31 up to
-    _TABLE_HARD_LIMIT.  The int32 scatter weights keep np.add.at fast.
+    parities interleaved.  The heads and the tail terms below 4a^2 + 4a go
+    into their slots by scatters, each b's run of j clipped to [lo, hi]
+    first, through np.add.at because two of them land on the same d
+    whenever b1^2 = b2^2 (mod 4a).
+
+    The a <= root, those with 2(a^2 + a) <= s0, the window's first slot,
+    have no head and no short tail in the window, and their patterns cover
+    all of it.  Such a pattern equals its own tiling to period 2L for any
+    multiple L of a, so each of a = 1 .. root is added into the pattern of
+    L = a (root // a), one of the L in (root / 2, root], and each L takes
+    one pass: about root / 2 passes over the window in place of root.  Only
+    covering patterns fold: one that starts inside the window is zero
+    before its start, which no tiling of a shorter period reproduces, so
+    each a > root keeps its own pass from its own start.
+
+    The a are set up in chunks of about _BLOCK (a, b) pairs, a chunk's
+    heads by one np.add.at and its patterns by one np.bincount, while the
+    tails stay one scatter per a (_heads_and_tails).  The fold's chunks run
+    through the L in order, each L whole and the chunk's cost counting every
+    tiled copy, so an L's pattern is built from its members just before its
+    pass and the patterns alive at once are one chunk's, O(root) long,
+    never every L's at once (O(root^2)).  Patterns are read from slot s0 on
+    and cut to the window's width when that is shorter than 2L, and heads
+    and tails take only the b with 4a^2 - b^2 <= hi, so a narrow window such
+    as [d, d] sets up only what it reads.
+
+    The window, out if given (a zero-filled contiguous view), is int32: an
+    entry collects, per a, at most one form per b, at most 24 (a + 1), and
+    that sum stays below 2^31 up to _TABLE_HARD_LIMIT.  The int32 scatter
+    weights keep np.add.at fast.
     """
     s0 = _slot_count(lo - 1)  # the first slot with lo <= d
     h = np.zeros(_slot_count(hi) - s0, dtype=np.int32) if out is None else out
-    for a in range(1, math.isqrt(hi // 3) + 1):
-        step = 4 * a
-        b = np.arange(a + 1)
-        d0 = 4 * a * a - b * b
-        tail = np.full(a + 1, 24, dtype=np.int32)
-        tail[0] = tail[a] = 12
-        if lo < 4 * a * a + step:
-            head = np.full(a + 1, 12, dtype=np.int32)
-            head[0], head[a] = 6, 4
-            keep = (d0 >= lo) & (d0 <= hi)
-            np.add.at(h, (d0[keep] >> 1) - s0, head[keep])
-            # tail terms below the periodic start, j = 1 .. ceil(b^2 / 4a), in [lo, hi]
-            first = np.maximum(-((d0 - lo) // step), 1)
-            last = np.minimum(-(-b * b // step), (hi - d0) // step)
-            runs = np.maximum(last - first + 1, 0)
-            slot = np.repeat((d0 >> 1) - s0 + 2 * a * (first - np.cumsum(runs) + runs), runs)
-            slot += np.arange(0, 2 * a * slot.size, 2 * a)
-            np.add.at(h, slot, np.repeat(tail, runs))
-        start = 2 * (a * a + a)
-        if 2 * start > hi:
-            continue
-        pattern = np.bincount((d0 >> 1) % (2 * a), weights=tail, minlength=2 * a)
-        _add_periodic(h, s0, start, pattern.astype(np.int32))
+    if not h.size:
+        return h
+    amax = math.isqrt(hi // 3)
+    root = min((math.isqrt(4 * (s0 // 2) + 1) - 1) // 2, amax)  # 2(a^2 + a) <= s0
+    top = (math.isqrt(hi + 1) - 1) // 2  # 4a^2 + 4a <= hi: a pattern reaches the window
+    # the fold: one pass per L
+    a = np.arange(1, root + 1)
+    period = a * (root // a)
+    order = np.argsort(period, kind="stable")
+    a, period = a[order], period[order]
+    # a chunk's cost: its pairs (a, b), each copied once per period of a in
+    # its segment
+    cost = (a + 1) * -(-np.minimum(2 * period, h.size) // (2 * a))
+    for i, j in _chunks(cost, period):
+        _add_patterns(h, a[i:j], period[i:j], s0)
+    # the a > root: heads, tails below the periodic start, and a pass from it
+    a = np.arange(root + 1, amax + 1)
+    # heads and tails need only the b with 4a^2 - b^2 <= hi, and b0 is at
+    # most the least of them
+    b0 = np.sqrt(np.maximum(4 * a * a - hi, 0)).astype(a.dtype)
+    for i, j in _chunks(a + 1, a):
+        _heads_and_tails(h, a[i:j], b0[i:j], lo, hi, s0)
+        k = int(np.count_nonzero(a[i:j] <= top))
+        if k:
+            _add_patterns(h, a[i : i + k], a[i : i + k], s0)
     return h
 
 

@@ -21,7 +21,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import factorize, primes_upto
+import numpy as np
+
+from .arith import divisors, factorize, primes_upto
 from .bias import (
     A1_chars,
     A1_closed,
@@ -36,6 +38,7 @@ from .characters import gauss_quad_closed, gauss_quad_direct
 from .eisenstein import residual_rows
 from .frobenius import S_direct, S_via_moments, trace_mass_table
 from .hurwitz import (
+    HurwitzTable,
     cusp_coefficient,
     lambda_moment,
     moment_H,
@@ -77,11 +80,35 @@ class VerifySuiteReport:
         )
 
 
+# The limits of a doubling chain of class-number tables, each grown from the
+# last, and the band of n checked in each grown window: the KH_BAND largest n
+# with 4n <= limit, most of whose terms H(4n - t^2) lie in that window.
+KH_CHAIN = tuple(4_000 * 2**k for k in range(9))
+KH_BAND = 100
+
+
 def suite_kronecker_hurwitz(rep: VerifySuiteReport) -> None:
-    """Class numbers summed over a full trace column equal 2p, p < 1000."""
+    """Class numbers summed over a full trace column equal 2p, p < 1000; and
+    12 sum_t H(4n - t^2) = 12 (2 sigma(n) - sum_{d | n} min(d, n/d)) on a band
+    of n in each window grown along a doubling chain of tables.
+
+    The chain is the suite's own, so the windows checked do not depend on how
+    far the shared table has grown.  Its windows start past d = 1, where the
+    sieve folds the patterns that cover a window; the right side reads the
+    divisors of n alone."""
     for p in primes_upto(999):
         got = moment_H(0, 1, 1, p)
         rep.check(got == 2 * p, f"p={p}", 2 * p, got)
+    table = HurwitzTable(KH_CHAIN[0])
+    for limit in KH_CHAIN[1:]:
+        table = HurwitzTable(limit, table)
+        for n in range(limit // 4 - KH_BAND + 1, limit // 4 + 1):
+            tmax = math.isqrt(4 * n)
+            t = np.arange(-tmax, tmax + 1)
+            got = int(table.slots[(4 * n - t * t) >> 1].sum(dtype=np.int64))
+            divs = divisors(n)
+            want = 12 * (2 * sum(divs) - sum(min(d, n // d) for d in divs))
+            rep.check(got == want, f"table {limit} n={n}", want, got)
 
 
 def suite_progressions(rep: VerifySuiteReport) -> None:

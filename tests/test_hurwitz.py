@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +72,7 @@ def test_hurwitz_known_values(monkeypatch):
 def test_moment_suites_grow_the_table_themselves(monkeypatch):
     # moment_H grows the shared table as it needs, so the suites that read it
     # pass from an empty table with the same number of checks
-    for name, checks in (("kronecker-hurwitz", 169), ("progressions", 334)):
+    for name, checks in (("kronecker-hurwitz", 969), ("progressions", 334)):
         monkeypatch.setattr(hurwitz, "_table", HurwitzTable(0))
         moment_H.cache_clear()
         report = run_suite(name)
@@ -190,6 +191,56 @@ def test_table_grows_in_a_chain():
         window = _sieve_range(lo, hi)
         want = [h[d] for d in range(lo, hi + 1) if d % 4 in (0, 3)]
         assert window.tolist() == want, (lo, hi)
+
+
+def test_windows_at_the_fold_boundaries():
+    # a window folds the pattern of every a with 2(a^2 + a) <= its first
+    # slot; first slots just below, at and just above that start, for short
+    # and long windows, against the slices of a table sieved from d = 1,
+    # which folds nothing.  Slot s holds d = 2s for even s and 2s + 1 for odd
+    table = HurwitzTable(40_000)
+
+    def check(lo, hi):
+        want = table.slots[_slot_count(lo - 1) : _slot_count(hi)]
+        assert np.array_equal(_sieve_range(lo, hi), want), (lo, hi)
+
+    for a in (1, 2, 3, 4, 7, 12, 29, 30, 57):
+        start = 2 * (a * a + a)
+        for s in (start - 2, start - 1, start, start + 1, start + 2):
+            lo = 2 * s + s % 2
+            for width in (0, 1, 2, 2 * a + 1, 3 * a, 4 * a - 1, 4 * a, 8 * a + 3, 5000):
+                check(lo, lo + width)
+            check(lo - 1, lo + 300)  # lo at d = 1, 2 (mod 4)
+    # windows from d = 1, and one-discriminant windows
+    for hi in (1, 3, 4, 47, 48, 1000, 39_999, 40_000):
+        check(1, hi)
+    for d in (3, 4, 7, 8, 11, 23, 24, 1000, 4803, 4804, 39_999, 40_000):
+        check(d, d)
+
+
+def test_growth_chain_matches_a_one_shot_table():
+    # the shared table's doubling chain to 10^6: every growth folds, while a
+    # build from d = 1 does not, so the two reach every slot by both paths
+    table = HurwitzTable(0)
+    for limit in (62_500, 125_000, 250_000, 500_000, 10**6):
+        table = HurwitzTable(limit, table)
+    assert np.array_equal(table.slots, HurwitzTable(10**6).slots)
+
+
+def test_growth_peak_memory_stays_small():
+    # above the base and the new slots, a growth holds the sieve's working
+    # arrays: chunks of about _BLOCK pairs, one L's pattern at a time and one
+    # a's tails.  2.65 MiB before the fold; building every folded pattern
+    # before the first pass measured 6.23 MiB, and grows as root^2
+    base = HurwitzTable(4 * 10**6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grown = HurwitzTable(8 * 10**6, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before - grown.slots.nbytes < 4 * 2**20
 
 
 def test_growth_leaves_its_base_alone():
