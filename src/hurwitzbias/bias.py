@@ -99,12 +99,19 @@ class A1ClassTable:
 
     def index(self) -> list[int]:
         """The class of each m in 1..M, in order of m."""
+        period = self.period()
+        return period * (self.M // len(period))
+
+    def period(self) -> list[int]:
+        """The class of each m in 1..rad M, in order of m; the class of m
+        depends only on m mod rad M, the product of the primes."""
+        rad = math.prod(self.primes)
         index = [0]  # M = 1 has no primes and one class
         weight = 1
         for p in self.primes:
             digits = _class_digits(p)
-            # the digits of m = 1, 2, ..., p, repeated through m = M
-            row = [weight * d for d in digits[1:] + digits[:1]] * (self.M // p)
+            # the digits of m = 1, 2, ..., p, repeated through m = rad M
+            row = [weight * d for d in digits[1:] + digits[:1]] * (rad // p)
             index = row if weight == 1 else list(map(operator.add, index, row))
             weight *= max(digits) + 1
         return index

@@ -25,11 +25,7 @@ from .verify import SUITES, run_suites
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return "%.12g" % value
-    return str(value)
+    return "%.12g" % value if isinstance(value, float) else str(value)
 
 
 def _canonical_json(obj) -> str:
@@ -156,10 +152,13 @@ def _cmd_scan(args) -> int:
     if not 1 <= args.X <= SCAN_X_CAP:
         raise ValueError(f"X must lie in 1..{SCAN_X_CAP}")
     counts = [0, 0, 0]
+    prefixes = [str(m) for m in range(1, args.X + 1)]
 
     def blocks():
         # one block of rows per modulus, each row its m and its class's
-        # suffix; the signs are counted as the blocks are written
+        # suffix.  The class of m repeats with period rad M, so one period
+        # of suffixes is listed, repeated through m = M and interleaved
+        # with the m.  The signs are counted as the blocks are written
         for M in range(1, args.X + 1):
             table = a1_class_table(M)
             suffixes = []
@@ -167,9 +166,13 @@ def _cmd_scan(args) -> int:
                 sign = (num > 0) - (num < 0)
                 counts[sign + 1] += count
                 g = math.gcd(num, table.den)
-                suffixes.append(f",{M},{num // g},{table.den // g},{sign}")
-            yield "\n".join([f"{m}{suffixes[k]}"
-                              for m, k in zip(range(1, M + 1), table.index())])
+                suffixes.append(f",{M},{num // g},{table.den // g},{sign}\n")
+            period = [suffixes[k] for k in table.period()]
+            parts = [""] * (2 * M)
+            parts[::2] = prefixes[:M]
+            parts[1::2] = period * (M // len(period))
+            parts[-1] = parts[-1][:-1]  # the writer ends the block's last line
+            yield "".join(parts)
 
     if args.out:
         _write_csv(args.out, SCAN_COLUMNS, blocks())

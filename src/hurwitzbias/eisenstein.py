@@ -52,7 +52,7 @@ from .characters import (
     root,
     star_char,
 )
-from .hurwitz import lambda_moment, moment_H
+from .hurwitz import lambda2_column, lambda_moment, moment12_column, moment_H
 
 IM_TOL = 1e-9
 
@@ -222,26 +222,22 @@ def coeff_a(eta: DirichletCharacter, d: int, m: int, M: int) -> complex:
 
 
 def _twisted_sum(values: tuple[complex, ...], q: int, divs: list[int]) -> complex:
-    """Sum of x * eta(x) * eta(q/x) over the x in divs that divide q, with
-    eta given as its char_values.
+    """Sum of x * eta(x) * eta(q/x) over the divisors x of q, given in
+    ascending order as divs, with eta given as its char_values.
 
     eta is completely multiplicative, so eta(x) * eta(q/x) = eta(q) for
     every x | q: the root is read once. If gcd(q, N_eta) > 1 a prime of
     N_eta divides x or q/x for every x, every term is 0 and the sum is 0j.
-    Otherwise it is eta(q) * x summed over the divisors x of q. divs is
-    ascending and holds every divisor of q, so they are added smallest
-    first whatever else divs holds. The sum is not eta(q) * sigma(q): that
-    product, like another order, would move the last bits of the sum.
+    Otherwise it is eta(q) * x added smallest x first. The sum is not
+    eta(q) * sigma(q): that product, like another order, would move the
+    last bits of the sum.
     """
     root_q = values[q % len(values)]
     if not root_q:
         return 0j
     total = 0j
     for x in divs:
-        if x > q:
-            break
-        if q % x == 0:
-            total += root_q * x
+        total += root_q * x
     return total
 
 
@@ -272,21 +268,30 @@ class MainTermExpansion:
     def _kernels(self) -> tuple:
         return tuple((char_values(eta), d, coeff) for eta, d, coeff in self.terms)
 
+    @cached_property
+    def _scale(self) -> float:
+        return float(self.prefactor)
+
     def evaluate(self, n: int) -> float:
         """The main term at n: every term's twisted sum over one divisor list of n.
 
         The divisors of n/d are the divisors of n that divide n/d, in the same
-        ascending order, so each term equals sigma_twisted(eta, n/d) bit for bit.
-        The terms are added in build order and scaled once by the prefactor.
+        ascending order, filtered once for each distinct d | n; so each term
+        equals sigma_twisted(eta, n/d) bit for bit. The terms are added in
+        build order and scaled once by the prefactor.
         """
         if n < 1:
             raise ValueError("evaluate requires n >= 1")
         divs = divisors(n)
+        sub = {1: divs}  # d -> the divisors of n/d
         total = 0j
         for values, d, coeff in self._kernels:
             if n % d == 0:
-                total += coeff * _twisted_sum(values, n // d, divs)
-        total *= float(self.prefactor)
+                q = n // d
+                if d not in sub:
+                    sub[d] = [x for x in divs if q % x == 0]
+                total += coeff * _twisted_sum(values, q, sub[d])
+        total *= self._scale
         # the value grows like sigma(n), so the rounding in its imaginary part does too
         if abs(total.imag) >= IM_TOL * max(1.0, abs(total.real)):
             raise ArithmeticError(
@@ -315,28 +320,43 @@ def main_term(m: int, M: int, n: int) -> float:
     return build_expansion(reduce_residue(m, M), M).evaluate(n)
 
 
-def _residual_row(m: int, M: int, n: int) -> tuple[int, Fraction, Fraction, float, float]:
-    moment = moment_H(0, m, M, n)
-    lam = lambda_moment(0, m, M, n)
-    main = main_term(m, M, n)
-    return n, moment, lam, main, float(moment + lam) - main
-
-
 def cusp_residual_0(m: int, M: int, n: int) -> float:
     """Coefficient of the weight-2 cusp component: moment + divisor sum - main term."""
-    return _residual_row(m, M, n)[-1]
+    return float(moment_H(0, m, M, n) + lambda_moment(0, m, M, n)) - main_term(m, M, n)
+
+
+# residual_rows computes its moment and divisor-sum columns this many n at a time
+_ROW_BLOCK = 1 << 14
 
 
 def residual_rows(
     m: int, M: int, n_max: int
 ) -> Iterator[tuple[int, Fraction, Fraction, float, float]]:
-    """Rows (n, moment, lambda, main term, residual) for n = 1..n_max, each
-    computed as it is read; residual is cusp_residual_0 at n.  A bad class
-    raises here, before any row: M < 1, m = 0, or an M whose main term
-    passes the character cap."""
+    """Rows (n, moment, lambda, main term, residual) for n = 1..n_max; the
+    residual is cusp_residual_0 at n.  A bad class raises here, before any
+    row: M < 1, m = 0, or an M whose main term passes the character cap.
+
+    The rows are computed as they are read, _ROW_BLOCK at a time: the
+    block's 12 moment_H(0) and 2 lambda_moment(0) come as whole columns
+    (hurwitz.moment12_column, hurwitz.lambda2_column), which grow the
+    class-number table block by block and leave both functions' caches
+    alone, and main_term is evaluated at each n.  The residual
+    (12 moment + 6 (2 lambda)) / 12 - main is one int true division, which
+    rounds correctly, so it has the bits of float(moment + lambda) - main.
+    """
     m = reduce_residue(m, M)
     build_expansion(m, M)
-    return (_residual_row(m, M, n) for n in range(1, n_max + 1))
+
+    def rows():
+        for n0 in range(1, n_max + 1, _ROW_BLOCK):
+            n1 = min(n0 + _ROW_BLOCK - 1, n_max)
+            moments = moment12_column(m, M, n0, n1).tolist()
+            lambdas = lambda2_column(m, M, n0, n1).tolist()
+            for n, s, w in zip(range(n0, n1 + 1), moments, lambdas):
+                main = main_term(m, M, n)
+                yield n, Fraction(s, 12), Fraction(w, 2), main, (s + 6 * w) / 12 - main
+
+    return rows()
 
 
 @lru_cache(maxsize=1 << 12)

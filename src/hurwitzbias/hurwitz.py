@@ -19,6 +19,11 @@ one d at a time, is only the oracle that the tests and the benchmark
 check the sieve by.  moment_H steps through the traces of its class by M,
 gathers slot (4n - t^2) >> 1 and sums in int64 wherever a bound proves
 that exact, in Python ints otherwise.
+For a block of consecutive n, moment12_column gives 12 moment_H(0) from one
+strided slice of the slots per t, and lambda2_column gives 2 lambda_moment(0)
+from one strided slice of its column per divisor u and sign; residual_rows
+reads these, and moment_H and lambda_moment stay the single-n routes the
+tests check them against.
 moment_via_reduction takes every moment of k's parity from one such gather;
 its divisor sums cancel, so it reads no lambda_moment.  Every moment_H is a
 multiple of 1/12 and every lambda_moment a multiple of 1/2, so
@@ -385,6 +390,46 @@ def moment_H(k: int, m: int, M: int, n: int) -> Fraction:
         raise ValueError("moment_H requires k >= 0, M >= 1, n >= 0")
     (num,) = _moment12((k,), m, M, n)
     return Fraction(num, 12)
+
+
+def moment12_column(m: int, M: int, n0: int, n1: int) -> np.ndarray:
+    """12 moment_H(0, m, M, n) for every n0 <= n <= n1, as one int64 array.
+
+    4n - t^2 sits at slot 2n - ceil(t^2 / 2), so each t of the class adds
+    the slots from step 2 to every n with t^2 <= 4n: one strided slice per t.
+    The slot of 4n = t^2 is 12 H(0) = -1, as moment_H reads it.
+    """
+    slots = ensure_table(4 * n1).slots
+    out = np.zeros(n1 - n0 + 1, dtype=np.int64)
+    tmax = math.isqrt(4 * n1)
+    for t in range(-tmax + (m + tmax) % M, tmax + 1, M):
+        lo = max(n0, (t * t + 3) // 4)  # the first n with t^2 <= 4n
+        c = (t * t + 1) // 2
+        out[lo - n0 :] += slots[2 * lo - c : 2 * n1 - c + 1 : 2]
+    return out
+
+
+def lambda2_column(m: int, M: int, n0: int, n1: int) -> np.ndarray:
+    """2 lambda_moment(0, m, M, n) for every 1 <= n0 <= n <= n1, as one
+    int64 array.
+
+    A pair u <= v adds u at n = uv for each sign with u + v = +-m (mod M),
+    twice unless u = v.  For one u those v form a residue class mod M, so
+    their n step by uM through the column: one strided slice per u and sign.
+    When m = -m (mod M) both signs pick the same v, and one slice adds both.
+    """
+    out = np.zeros(n1 - n0 + 1, dtype=np.int64)
+    signs = (m,) if 2 * m % M == 0 else (m, -m)
+    weight = 4 // len(signs)  # 2 u per sign, u = v once
+    for u in range(1, math.isqrt(n1) + 1):
+        first, last = max(u, -(-n0 // u)), n1 // u  # the v with n0 <= uv <= n1
+        for s in signs:
+            v = first + (s - u - first) % M  # the least v >= first with u + v = s
+            if v <= last:
+                out[u * v - n0 : u * last - n0 + 1 : u * M] += weight * u
+                if v == u:
+                    out[u * u - n0] -= weight // 2 * u
+    return out
 
 
 @lru_cache(maxsize=1 << 15)

@@ -3,11 +3,12 @@
 import argparse
 import hashlib
 import json
+import math
 
 import pytest
 
 from hurwitzbias import cli, eisenstein, verify
-from hurwitzbias.bias import A1_closed, density_scan
+from hurwitzbias.bias import A1_closed, a1_class_table, density_scan
 from hurwitzbias.cli import build_parser, main
 from hurwitzbias.hurwitz import ensure_table
 
@@ -180,6 +181,28 @@ def test_scan_rows_match_closed_form_and_census(capsys):
     assert err == (f"pairs {report.pairs} positive {report.positive_fraction:.4f} "
                    f"negative {report.negative_fraction:.4f} "
                    f"zero {report.zero_fraction:.4f}\n")
+
+
+def _scan_block_per_m(M):
+    """scan's rows for one modulus the way it once wrote them: one f-string
+    per m, from the class index of every m in 1..M."""
+    table = a1_class_table(M)
+    suffixes = []
+    for num in table.nums:
+        g = math.gcd(num, table.den)
+        suffixes.append(f",{M},{num // g},{table.den // g},{(num > 0) - (num < 0)}")
+    return [f"{m}{suffixes[k]}" for m, k in zip(range(1, M + 1), table.index())]
+
+
+def test_scan_rows_repeat_the_class_period_like_the_per_m_rows(capsys):
+    # every M <= 32, among them M = 4, 8, 9, 12, 18, 27, 32 with M != rad M,
+    # whose rows repeat one period of rad M suffixes M / rad M times
+    code, out, _ = run(capsys, "scan", "--X", "32")
+    assert code == 0
+    want = ["m,M,a1_num,a1_den,sign"]
+    for M in range(1, 33):
+        want += _scan_block_per_m(M)
+    assert out.splitlines() == want
 
 
 def test_verify_single_suite(capsys):

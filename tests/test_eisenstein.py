@@ -246,14 +246,41 @@ def test_residual_nonzero_elsewhere():
         assert max(abs(row[-1]) for row in residual_rows(m, M, 100)) > 1e-3, (m, M)
 
 
-def test_residual_series_matches_pointwise():
-    rows = list(residual_rows(3, 7, 25))
-    assert [row[0] for row in rows] == list(range(1, 26))
+def _rows_match_pointwise(m, M, rows):
     for n, moment, lam, main, residual in rows:
-        assert moment == moment_H(0, 3, 7, n)
-        assert lam == lambda_moment(0, 3, 7, n)
-        assert main == main_term(3, 7, n)
-        assert residual == cusp_residual_0(3, 7, n)
+        assert type(moment) is type(lam) is Fraction, n
+        assert type(main) is type(residual) is float, n
+        assert moment == moment_H(0, m, M, n), n
+        assert lam == lambda_moment(0, m, M, n), n
+        assert main.hex() == main_term(m, M, n).hex(), n
+        assert residual.hex() == cusp_residual_0(m, M, n).hex(), n
+
+
+def test_residual_series_matches_pointwise():
+    # the rows from n = 1 and on both sides of the first block boundary,
+    # each against the single-n routes, bit for bit
+    block = eisenstein._ROW_BLOCK
+    rows = list(residual_rows(3, 7, block + 25))
+    assert [row[0] for row in rows] == list(range(1, block + 26))
+    _rows_match_pointwise(3, 7, rows[:25] + rows[block - 25 :])
+
+
+def test_residual_series_across_many_blocks(monkeypatch):
+    # blocks of 7 rows: every boundary, and a last block cut short
+    monkeypatch.setattr(eisenstein, "_ROW_BLOCK", 7)
+    for m, M in ((1, 1), (2, 4), (3, 7), (5, 12), (9, 9)):
+        rows = list(residual_rows(m, M, 60))
+        assert [row[0] for row in rows] == list(range(1, 61))
+        _rows_match_pointwise(m, M, rows)
+
+
+def test_residual_rows_leave_the_moment_caches_alone():
+    # the rows read whole columns, never moment_H or lambda_moment: no call,
+    # so no entry, hit or miss
+    before = moment_H.cache_info(), lambda_moment.cache_info()
+    for _ in residual_rows(2, 9, 500):
+        pass
+    assert (moment_H.cache_info(), lambda_moment.cache_info()) == before
 
 
 def test_residual_rows_rejects_a_bad_class_when_called():

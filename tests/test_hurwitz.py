@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hurwitzbias import hurwitz
 from hurwitzbias.arith import catalan_ext, primes_upto
+from hurwitzbias.eisenstein import _ROW_BLOCK
 from hurwitzbias.hurwitz import (
     _TABLE_HARD_LIMIT,
     HurwitzTable,
@@ -19,7 +20,9 @@ from hurwitzbias.hurwitz import (
     ensure_table,
     hurwitz_H,
     hurwitz_direct,
+    lambda2_column,
     lambda_moment,
+    moment12_column,
     moment_H,
     moment_via_reduction,
     reduction_coefficient,
@@ -447,6 +450,43 @@ def test_lambda_grid_against_bruteforce():
             for m in (-13, -2, 0, 5, 12, 29):
                 for n in [s * s for s in range(1, 41)]:
                     assert lambda_moment(k, m, M, n) == lambda_brute(k, m, M, n), (k, m, M, n)
+
+
+def _columns_match_the_single_n_routes(m, M, n0, n1):
+    moments = moment12_column(m, M, n0, n1)
+    lambdas = lambda2_column(m, M, n0, n1)
+    assert moments.dtype == lambdas.dtype == np.int64
+    assert moments.size == lambdas.size == n1 - n0 + 1
+    for n, s, w in zip(range(n0, n1 + 1), moments.tolist(), lambdas.tolist()):
+        assert Fraction(s, 12) == moment_H(0, m, M, n), (m, M, n)
+        assert Fraction(w, 2) == lambda_moment(0, m, M, n), (m, M, n)
+
+
+def test_columns_match_moment_and_lambda_at_every_n():
+    # M = 1, m = 0 (mod M), odd and even M, m = -m (mod M) and not, and m
+    # outside 0..M - 1; every n <= 400 includes the squares, where an even t
+    # reads 12 H(0) = -1 at 4n = t^2 and the divisor pair u = v counts once
+    for M in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12):
+        for m in {0, 1, M // 2, M - 1, M, -1, M + 3}:
+            _columns_match_the_single_n_routes(m, M, 1, 400)
+
+
+def test_columns_read_the_boundary_entry():
+    # t = 2a with 4n = t^2 reads 12 H(0) = -1: at n = 1 the class 0 mod 2 has
+    # t = -2, 0, 2, so 12 moment = -1 + 12 H(4) - 1 = 4
+    assert moment12_column(0, 2, 1, 1).tolist() == [12 * moment_H(0, 0, 2, 1)] == [4]
+    for a in (1, 7, 30):
+        n = a * a
+        assert moment12_column(2 * a, 4 * a + 1, n, n).tolist() == [-1]  # t = 2a alone
+
+
+def test_columns_on_windows_away_from_one():
+    # a window starting past n = 1, across where residual_rows starts a block,
+    # and one-n windows
+    for m, M in ((0, 1), (3, 7), (2, 8), (5, 12)):
+        _columns_match_the_single_n_routes(m, M, _ROW_BLOCK - 40, _ROW_BLOCK + 40)
+        for n in (1, 2, 97, 1000):
+            _columns_match_the_single_n_routes(m, M, n, n)
 
 
 def test_reduction_coefficients():
