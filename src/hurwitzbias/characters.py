@@ -6,13 +6,13 @@ integer arithmetic. Every character is built from such exponents, the star
 character too (star_char shifts the non-quadratic part's local exponents),
 so none is ever rebuilt from its values. A character value is its
 exponent: chi(x) = e(expo) with expo an exact Fraction, and root(expo) is
-the one conversion to a complex number. Each character is evaluated from
-one cached integer table (char_table): chi(x) = e(e[x]/L), with L the lcm
-of the local generator orders and e[x] = -1 off the units. char_eval
-returns a table entry as the exponent Fraction(e[x], L), or None off the
-units. char_values is the one reader of the complex values: chi(x) for
-every x, each unit's entry the root_values(L)[e[x]] object and 0j off the
-units. The hot sums, here and in eisenstein and bias, index that tuple.
+the one conversion to a complex number. A character's one cached table is
+char_values: chi(x) for every x, each unit's entry the root_values(L)[k]
+object for chi(x) = e(k/L), with L the lcm of the local generator orders,
+and 0j off the units. k sums the discrete-log digits of x mod each p^e
+times the local exponents, scaled to L. char_eval computes k for one x,
+without a table, and returns the exponent Fraction(k, L), or None off the
+units. The hot sums, here and in eisenstein and bias, index char_values.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from operator import mul
 
 from .arith import factorize, kronecker, ord_p
 
@@ -61,13 +62,6 @@ def eps(d: int) -> Fraction:
 def root_values(L: int) -> tuple[complex, ...]:
     """The complex values e(k/L) for k < L, each as root gives it."""
     return tuple(root(Fraction(k, L)) for k in range(L))
-
-
-@lru_cache(maxsize=1 << 10)
-def _exponents(L: int) -> tuple[int, ...]:
-    """The exponents 0 .. L - 1, one int object each, shared by every
-    char_table entry of order L, so that an entry holds only pointers."""
-    return tuple(range(L))
 
 
 @dataclass(frozen=True)
@@ -138,33 +132,30 @@ def _mk_char(parts: list[tuple[int, int, tuple[int, ...]]]) -> DirichletCharacte
     return DirichletCharacter(modulus, tuple(parts))
 
 
-@lru_cache(maxsize=1 << 12)
-def char_table(chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
-    """chi as (L, e): chi(x) = e(e[x]/L) for x mod the modulus, e[x] = -1 off the units.
-
-    L is the lcm of the local generator orders; e[x] sums a * d * (L / o)
-    mod L over the discrete-log digits d of x.  Each e[x] >= 0 is the object
-    _exponents(L)[e[x]], so a table mod 4999 holds 40 KB of pointers and no
-    int objects of its own (a fresh int per entry would add about 150 KB).
-    """
-    L = 1
-    for p, e, _ in chi.locals:
-        L = math.lcm(L, *local_unit_group(p, e).orders)
-    ks = _exponents(L)
-    table = [0] * chi.modulus
+def _digit_sums(chi: DirichletCharacter,
+                xs: range | tuple[int]) -> tuple[int, list[int | None]]:
+    """L, the lcm of the local generator orders, and for each x in xs the k
+    mod L with chi(x) = e(k/L), or None off the units. k sums a * (L / o) * d
+    over the discrete-log digits d of x mod each p^e, with a chi's exponent
+    on the generator of order o."""
+    L = math.lcm(*(o for p, e, _ in chi.locals for o in local_unit_group(p, e).orders))
+    parts = []
     for p, e, exps in chi.locals:
         group = local_unit_group(p, e)
-        q = p**e
-        local = [-1] * q
-        for r, digits in group.dlog.items():
-            local[r] = sum(
-                a * d * (L // o) for a, d, o in zip(exps, digits, group.orders)
-            ) % L
-        for x, k in enumerate(table):
-            if k >= 0:
-                v = local[x % q]
-                table[x] = -1 if v < 0 else ks[(k + v) % L]
-    return L, tuple(table)
+        coef = [a * (L // o) for a, o in zip(exps, group.orders)]
+        parts.append((p**e, group.dlog, coef))
+    ks = []
+    for x in xs:
+        k = 0
+        for q, dlog, coef in parts:
+            digits = dlog.get(x % q)
+            if digits is None:
+                ks.append(None)
+                break
+            k += sum(map(mul, coef, digits))
+        else:
+            ks.append(k % L)
+    return L, ks
 
 
 # every primitive character of one modulus fits, so the values built for a
@@ -173,16 +164,15 @@ def char_table(chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
 def char_values(chi: DirichletCharacter) -> tuple[complex, ...]:
     """chi(x) for every x mod the modulus: the root_values entry of each unit's
     exponent, the same complex object, and 0j off the units."""
-    L, e = char_table(chi)
+    L, ks = _digit_sums(chi, range(chi.modulus))
     roots = root_values(L)
-    return tuple(roots[k] if k >= 0 else 0j for k in e)
+    return tuple(0j if k is None else roots[k] for k in ks)
 
 
 def char_eval(chi: DirichletCharacter, n: int) -> Fraction | None:
     """The exponent of chi(n), in [0, 1); None off the units."""
-    L, e = char_table(chi)
-    k = e[n % chi.modulus]
-    return None if k < 0 else Fraction(k, L)
+    L, (k,) = _digit_sums(chi, (n,))
+    return None if k is None else Fraction(k, L)
 
 
 def enumerate_chars(modulus: int) -> list[DirichletCharacter]:

@@ -350,9 +350,10 @@ def hurwitz_H(d: int) -> Fraction:
 def _moment12(ks: range | tuple[int, ...], m: int, M: int, n: int) -> list[int]:
     """12 times the k-th moment of H(4n - t^2) over t = m (mod M), for each k
     in ks, from one gather of the class; moment_H documents the sums."""
+    slots = ensure_table(4 * n).slots  # past the cap it raises before t is built
     tmax = math.isqrt(4 * n)
     t = np.arange(-tmax + (m + tmax) % M, tmax + 1, M)
-    h = ensure_table(4 * n).slots[(4 * n - t * t) >> 1]
+    h = slots[(4 * n - t * t) >> 1]
     kmax = max(ks)
     if not kmax:  # ks is (0,)
         return [int(h.sum(dtype=np.int64)) if h.size > _SUM_CROSSOVER else sum(h.tolist())]

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 from hurwitzbias.arith import euler_phi, kronecker
 from hurwitzbias.characters import (
     DirichletCharacter,
-    _exponents,
     char_eval,
     _local_order,
-    char_table,
     char_values,
     conductor,
     enumerate_chars,
@@ -138,43 +137,46 @@ def test_char_eval_matches_digitwise_sum():
                 assert char_eval(chi, x) == digitwise_expo(chi, x % m), (chi, x)
 
 
-def test_char_table_shape():
+def test_char_values_shape():
     chi = enumerate_chars(15)[5]
-    L, e = char_table(chi)
-    assert L == 4  # lcm of the generator orders 2 and 4
-    assert len(e) == 15
-    assert [x for x in range(15) if e[x] < 0] == [0, 3, 5, 6, 9, 10, 12]
-    assert e[2] == 3  # chi(2) = chi_3(2) * chi_5(2) = (-1) * i = e(3/4)
-    assert char_table(enumerate_chars(1)[0]) == (1, (0,))
+    values = char_values(chi)
+    assert len(values) == 15
+    assert [x for x in range(15) if char_eval(chi, x) is None] == [0, 3, 5, 6, 9, 10, 12]
+    assert [x for x in range(15) if values[x] == 0j] == [0, 3, 5, 6, 9, 10, 12]
+    # chi(2) = chi_3(2) * chi_5(2) = (-1) * i = e(3/4), with L = lcm(2, 4) = 4
+    assert char_eval(chi, 2) == Fraction(3, 4)
+    assert values[2] is root_values(4)[3]
+    principal = enumerate_chars(1)[0]
+    assert char_eval(principal, 0) == 0 and char_values(principal) == (1 + 0j,)
+
+
+@lru_cache(maxsize=None)
+def exponent_table(chi):
+    """(L, ks) read from char_eval: chi(x) = e(ks[x]/L) for x mod the modulus
+    and ks[x] = -1 off the units, with L the lcm of the local generator orders."""
+    L = math.lcm(1, *(o for p, e, _ in chi.locals for o in local_unit_group(p, e).orders))
+    ks = []
+    for x in range(chi.modulus):
+        expo = char_eval(chi, x)
+        ks.append(-1 if expo is None else expo.numerator * (L // expo.denominator))
+    return L, tuple(ks)
 
 
 def test_char_values_are_the_root_objects_of_the_table():
-    # every float sum that reads char_values keeps its bits only while each
-    # unit's entry is root_values' own complex object
-    for N in range(1, 61):
-        for chi in enumerate_chars(N):
-            L, e = char_table(chi)
+    # char_values is a character's one table. Every float sum that reads it
+    # keeps its bits only while each unit's entry is root_values' own complex
+    # object: root_values(L)[k] where char_eval(chi, x) = k/L. 3039 = 3 * 1013
+    # sums digits of two local parts past L (1012), 4999 has L = 4998.
+    for N in [*range(1, 61), 3039, 4999]:
+        for chi in enumerate_chars(N)[: None if N <= 60 else 40]:
+            L, ks = exponent_table(chi)
             values = char_values(chi)
             assert len(values) == N
-            for x, k in enumerate(e):
+            for x, k in enumerate(ks):
                 if k >= 0:
                     assert values[x] is root_values(L)[k], (chi, x)
                 else:
                     assert values[x] == 0j, (chi, x)
-
-
-def test_char_table_exponents_are_one_shared_tuple():
-    # a table holds pointers into _exponents(L), not an int object per entry;
-    # past L = 256 (3039 = 3 * 1013 has two local parts, L = 1012) CPython's
-    # small-int cache no longer makes every equal exponent one object
-    for N in [*range(1, 61), 3039, 4999]:
-        for chi in enumerate_chars(N)[:40]:
-            L, e = char_table(chi)
-            shared = _exponents(L)
-            assert shared == tuple(range(L))
-            for x, k in enumerate(e):
-                if k >= 0:
-                    assert k is shared[k], (chi, x)
 
 
 def reference_root(k, L):

@@ -222,6 +222,19 @@ def test_runtime_bound_failure_path(capsys, monkeypatch):
     assert "    runtime: expected < 0 s, got " in out
 
 
+def test_moment_past_the_cap_exits_two_before_the_gather(capsys):
+    # the class is gathered only after the table's cap is checked: t would
+    # hold about 1.3 * 10^10 entries at n = 10^20 and 1.3 * 10^14 at n = 5^40,
+    # the moment that trace-moment reads over F_q with q = 5^40
+    for argv, d in (
+            (("moment", "--k", "0", "--m", "1", "--M", "3", "--n",
+              "100000000000000000000"), 4 * 10**20),
+            (("trace-moment", "--k", "0", "--m", "1", "--M", "3", "--p", "5",
+              "--r", "40"), 4 * 5**40)):
+        err = f"error: d = {d} exceeds the class-number cap 50000000\n"
+        assert run(capsys, *argv) == (2, "", err), argv
+
+
 def test_flag_errors_exit_two(capsys):
     assert run(capsys, "moment", "--k", "0", "--m", "1", "--M", "0",
                "--n", "5")[0] == 2

@@ -10,7 +10,6 @@ from hurwitzbias import eisenstein
 from hurwitzbias.arith import divisors, euler_phi, factorize, ord_p
 from hurwitzbias.characters import (
     char_eval,
-    char_table,
     char_values,
     enumerate_chars,
     primitive_chars,
@@ -33,7 +32,7 @@ from hurwitzbias.eisenstein import (
     sigma_twisted,
 )
 from hurwitzbias.hurwitz import lambda_moment, moment_H
-from test_characters import char_order
+from test_characters import char_order, exponent_table
 
 TRIV = enumerate_chars(1)[0]
 CHI_M3 = primitive_chars(3)[0]
@@ -401,7 +400,7 @@ def test_evaluate_rejects_n_below_one():
 @lru_cache(maxsize=None)
 def sigma_ascending(eta, q):
     """Sum of x * eta(x) * eta(q/x) over the divisors x of q, smallest first."""
-    L, e = char_table(eta)
+    L, e = exponent_table(eta)
     roots = root_values(L)
     total = 0j
     for x in divisors(q):
