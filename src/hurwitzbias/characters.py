@@ -180,20 +180,12 @@ def enumerate_chars(modulus: int) -> list[DirichletCharacter]:
     if modulus > _CHAR_CAP:
         raise ValueError(
             f"modulus {modulus} exceeds the character-enumeration cap {_CHAR_CAP}")
-    groups = [(p, e, local_unit_group(p, e)) for p, e in factorize(modulus)]
-    ranges = []
-    for _, _, group in groups:
-        ranges.extend(range(o) for o in group.orders)
-    out = []
-    for combo in iter_product(*ranges):
-        parts = []
-        i = 0
-        for p, e, group in groups:
-            k = len(group.orders)
-            parts.append((p, e, combo[i : i + k]))
-            i += k
-        out.append(_mk_char(parts))
-    return out
+    # each prime power's local parts (p, e, exps), the exponents in
+    # lexicographic order; a character is one local part per prime power
+    local_parts = [
+        [(p, e, exps) for exps in iter_product(*map(range, local_unit_group(p, e).orders))]
+        for p, e in factorize(modulus)]
+    return [DirichletCharacter(modulus, parts) for parts in iter_product(*local_parts)]
 
 
 def _local_order(exps: tuple[int, ...], orders: tuple[int, ...]) -> int:

@@ -25,7 +25,17 @@ from .verify import SUITES, run_suites
 
 
 def _fmt(value) -> str:
-    return "%.12g" % value if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return "%.12g" % value
+    try:
+        return str(value)
+    except ValueError:  # past CPython's int-string digit limit: lift it for this value
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _canonical_json(obj) -> str:

@@ -50,16 +50,6 @@ class TraceMassTable:
         den = self.p**self.r - 1
         return tuple((t, Fraction(c, den)) for t, c in self.counts)
 
-    @cached_property
-    def _by_trace(self) -> dict[int, Fraction]:
-        return dict(self.masses)
-
-    def mass(self, t: int) -> Fraction:
-        return self._by_trace.get(t, Fraction(0))
-
-    def traces(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.counts)
-
     def total_mass(self) -> Fraction:
         return self.moment(0, 0, 1)
 

@@ -24,11 +24,11 @@ strided slice of the slots per t, and lambda2_column gives 2 lambda_moment(0)
 from one strided slice of its column per divisor u and sign; residual_rows
 reads these, and moment_H and lambda_moment stay the single-n routes the
 tests check them against.
-moment_via_reduction takes every moment of k's parity from one such gather;
-its divisor sums cancel, so it reads no lambda_moment.  Every moment_H is a
-multiple of 1/12 and every lambda_moment a multiple of 1/2, so
-cusp_coefficient and moment_via_reduction sum 12 times each term in Python
-ints and build one Fraction at the end.
+cusp_coefficient and moment_via_reduction take every moment of k's parity
+from one such gather and sum 12 times each term of the moment combination in
+Python ints, dividing by 12 once.  cusp_coefficient then adds lambda_moment;
+in moment_via_reduction the divisor sums cancel, so it reads no
+lambda_moment.
 """
 
 from __future__ import annotations
@@ -486,12 +486,6 @@ def reduction_identity_sum(k: int, mu: int) -> Fraction:
     return total
 
 
-def _twelve(x: Fraction) -> int:
-    """12x for an x whose denominator divides 12, as moment_H's and
-    lambda_moment's do."""
-    return x.numerator * (12 // x.denominator)
-
-
 def _cusp_sum(j: int, n: int, s: list[int]) -> int:
     """12 M_j + sum over 1 <= nu <= j/2 of (-1)^nu binom(j - nu, nu) n^nu
     12 M_{j - 2nu}, where s[i] = 12 M_{j mod 2 + 2i}: 12 times the cusp
@@ -505,11 +499,12 @@ def _cusp_sum(j: int, n: int, s: list[int]) -> int:
 def cusp_coefficient(k: int, m: int, M: int, n: int) -> Fraction:
     """n-th coefficient of the weight k+3/2 cusp component, k >= 1; computed
     from moments and divisor sums rather than from modular forms, exactly:
-    the sum of 12 times each term is an integer, divided by 12 once."""
-    if k < 1:
-        raise ValueError("cusp coefficients require k >= 1")
-    s = [_twelve(moment_H(j, m, M, n)) for j in range(k % 2, k + 1, 2)]
-    return Fraction(_cusp_sum(k, n, s) + _twelve(lambda_moment(k, m, M, n)), 12)
+    the moment combination, summed 12 times over from one gather of the
+    class, plus the divisor sum lambda(k)."""
+    if k < 1 or M < 1 or n < 1:
+        raise ValueError("cusp_coefficient requires k >= 1, M >= 1, n >= 1")
+    s = _moment12(range(k % 2, k + 1, 2), m, M, n)  # s[i] = 12 M_{k mod 2 + 2i}
+    return Fraction(_cusp_sum(k, n, s), 12) + lambda_moment(k, m, M, n)
 
 
 def moment_via_reduction(k: int, m: int, M: int, n: int) -> Fraction:
@@ -520,9 +515,8 @@ def moment_via_reduction(k: int, m: int, M: int, n: int) -> Fraction:
     Each cusp coefficient of order j = k - 2mu is its moment combination plus
     the divisor sum lambda(j), and the rebuild subtracts lambda(j) again, so
     no divisor sum is read: the rebuild is an identity in the moments of k's
-    parity, all of them summed from one gather of the class.  Like
-    cusp_coefficient it sums 12 times each term in Python ints and divides by
-    12 once."""
+    parity, all of them summed from one gather of the class.  It sums 12
+    times each term in Python ints and divides by 12 once."""
     if k < 0 or M < 1 or n < 0:
         raise ValueError("moment_via_reduction requires k >= 0, M >= 1, n >= 0")
     s = _moment12(range(k % 2, k + 1, 2), m, M, n)  # s[i] = 12 M_{k mod 2 + 2i}

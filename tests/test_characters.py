@@ -2,12 +2,13 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzbias.arith import euler_phi, kronecker
+from hurwitzbias.arith import euler_phi, factorize, kronecker
 from hurwitzbias.characters import (
     DirichletCharacter,
     char_eval,
@@ -213,6 +214,26 @@ def test_character_counts():
         chars = enumerate_chars(m)
         assert len(chars) == euler_phi(m)
         assert char_order(chars[0]) == 1  # principal first
+
+
+def flat_enumeration(modulus):
+    """Every character mod modulus as one flat product over the generator
+    orders of every local unit group, each tuple of exponents cut back into
+    its local parts by index."""
+    groups = [(p, e, local_unit_group(p, e).orders) for p, e in factorize(modulus)]
+    out = []
+    for combo in product(*(range(o) for _, _, orders in groups for o in orders)):
+        parts, i = [], 0
+        for p, e, orders in groups:
+            parts.append((p, e, combo[i : i + len(orders)]))
+            i += len(orders)
+        out.append(DirichletCharacter(modulus, tuple(parts)))
+    return out
+
+
+def test_enumeration_order_equals_the_flat_product():
+    for m in range(1, 1201):
+        assert enumerate_chars(m) == flat_enumeration(m), m
 
 
 def test_primitive_counts():

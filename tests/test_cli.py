@@ -4,13 +4,14 @@ import argparse
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
 from hurwitzbias import cli, eisenstein, verify
 from hurwitzbias.bias import A1_closed, a1_class_table, density_scan
 from hurwitzbias.cli import build_parser, main
-from hurwitzbias.hurwitz import ensure_table
+from hurwitzbias.hurwitz import ensure_table, lambda_moment, moment_H
 
 
 def run(capsys, *argv):
@@ -29,6 +30,40 @@ def test_single_value_commands(capsys):
                "--p", "5", "--r", "2") == (0, "37/4\n", "")
     code, out, _ = run(capsys, "main-term", "--m", "1", "--M", "1", "--n", "6")
     assert code == 0 and out == "24\n"
+
+
+def read_int(text):
+    """int(text) for any number of digits, read in blocks short enough for
+    the interpreter's int-string limit."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        block = digits[i : i + 1000]
+        value = value * 10 ** len(block) + int(block)
+    return -value if text.startswith("-") else value
+
+
+def test_exact_values_past_the_int_digit_limit(capsys):
+    # a numerator of 4,500 digits, past CPython's default limit of 4,300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "moment", "--k", "1500", "--m", "1", "--M", "3",
+                         "--n", "250000")
+    assert (code, err) == (0, "")
+    # an integer, so printed without "/1"
+    assert read_int(out.rstrip("\n")) == moment_H(1500, 1, 3, 250000)
+    # t = 4 adds 4^8000 H(0) = -4^8000/12: a value with a denominator
+    code, out, err = run(capsys, "moment", "--k", "8000", "--m", "0", "--M", "4",
+                         "--n", "4")
+    assert (code, err) == (0, "")
+    num, den = out.rstrip("\n").split("/")
+    want = moment_H(8000, 0, 4, 4)
+    assert (read_int(num), read_int(den)) == (want.numerator, want.denominator)
+    code, out, err = run(capsys, "lambda", "--k", "100000", "--m", "1", "--M", "3",
+                         "--n", "36", "--format", "json")
+    assert (code, err) == (0, "")
+    assert read_int(json.loads(out)["value"]) == lambda_moment(100000, 1, 3, 36)
+    # the limit is lifted for those conversions only
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_bias_routes_agree_through_cli(capsys):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hurwitzbias import frobenius
@@ -71,24 +72,26 @@ def test_total_mass_is_field_size():
 def test_traces_satisfy_hasse_bound():
     for q in FIELD_SIZES:
         bound = math.isqrt(4 * q)
-        assert all(abs(t) <= bound for t in trace_mass_table(q).traces())
+        assert all(abs(t) <= bound for t, _ in trace_mass_table(q).counts)
 
 
 def test_trace_symmetry():
     # quadratic twisting negates the trace and preserves the weights
     for q in FIELD_SIZES:
-        table = trace_mass_table(q)
-        for t in table.traces():
-            assert table.mass(-t) == table.mass(t)
+        masses = trace_mass_table(q).masses
+        by_trace = dict(masses)
+        for t, mass in masses:
+            assert by_trace.get(-t) == mass
 
 
 def test_f5_table_by_hand():
     table = trace_mass_table(5)
     assert table.p == 5 and table.r == 1
-    assert table.mass(1) == Fraction(1, 2)
-    assert table.mass(7) == 0
+    by_trace = dict(table.masses)
+    assert by_trace[1] == Fraction(1, 2)
+    assert 7 not in by_trace
     # 25 coefficient pairs, 5 of them singular
-    raw = sum(table.mass(t) for t in table.traces()) * (5 - 1)
+    raw = sum(mass for _, mass in table.masses) * (5 - 1)
     assert raw == 20 == sum(c for _, c in table.counts)
     assert table.masses == tuple((t, Fraction(c, 4)) for t, c in table.counts)
 
@@ -109,10 +112,11 @@ def _assert_bridge_table(p):
     # divides, so this and the total mass p fix the whole table.
     table = trace_mass_table(p)
     assert table.total_mass() == p
+    by_trace = dict(table.masses)
     bound = math.isqrt(4 * p)
     for t in range(-bound, bound + 1):
         if t != 0:
-            assert table.mass(t) == Fraction(hurwitz_H(4 * p - t * t), 2), (p, t)
+            assert by_trace.get(t, 0) == Fraction(hurwitz_H(4 * p - t * t), 2), (p, t)
 
 
 def test_mass_matches_class_number_count():
@@ -157,6 +161,71 @@ def test_bridge_quadratic_fields(p):
         for k in (0, 1, 2):
             for m in range(M):
                 assert S_direct(k, m, M, p * p) == S_via_moments(k, m, M, p, 2)
+
+
+def cubic_field_tables(p, f):
+    """The addition and multiplication tables of F_p[x]/(x^3 + f[2] x^2 +
+    f[1] x + f[0]) for an irreducible cubic; c0 + c1 x + c2 x^2 is stored at
+    index c0 + p c1 + p^2 c2."""
+    idx = np.arange(p**3)
+    digits = [idx // p**i % p for i in range(3)]
+    add = sum((d[:, None] + d[None, :]) % p * p**i for i, d in enumerate(digits))
+    prod = [0] * 5
+    for i in range(3):
+        for j in range(3):
+            prod[i + j] = prod[i + j] + digits[i][:, None] * digits[j][None, :]
+    for top in (4, 3):  # x^top = -x^(top - 3) (f[2] x^2 + f[1] x + f[0])
+        for i in range(3):
+            prod[top - 3 + i] = prod[top - 3 + i] - prod[top] * f[i]
+    mul = sum(prod[i] % p * p**i for i in range(3))
+    return add, mul
+
+
+def cubic_field_counts(p, f):
+    """The number of pairs (a, b) with 4a^3 + 27b^2 != 0 over F_{p^3}, by the
+    trace -sum_x chi(x^3 + ax + b) of y^2 = x^3 + ax + b, counted point by
+    point with chi the quadratic character of the field."""
+    q = p**3
+    add, mul = cubic_field_tables(p, f)
+    idx = np.arange(q)
+    sq = mul[idx, idx]
+    cube = mul[sq, idx]
+    chi = np.full(q, -1)
+    chi[sq] = 1
+    chi[0] = 0
+    disc_b = mul[27 % p, sq]  # 27 b^2 for each b
+    counts = {}
+    for a in range(q):
+        # row x, column b: x^3 + ax + b
+        traces = -chi[add[add[cube, mul[a]]]].sum(axis=0)
+        good = add[mul[4 % p, cube[a]], disc_b] != 0
+        for t, c in zip(*np.unique(traces[good], return_counts=True)):
+            counts[int(t)] = counts.get(int(t), 0) + int(c)
+    return counts
+
+
+# x^3 + x + 1 over F_5 and x^3 - 5 over F_7: neither has a root, so both are
+# irreducible
+@pytest.mark.parametrize("p, f", [(5, (1, 1, 0)), (7, (-5, 0, 0))])
+def test_bridge_cubic_fields_by_brute_force(p, f):
+    # trace_mass_table enumerates only F_p and F_{p^2}, while S_via_moments
+    # takes any r: each pair (a, b) over F_{p^3} weighs 1/(q - 1)
+    assert all((x**3 + f[2] * x * x + f[1] * x + f[0]) % p for x in range(p))
+    q = p**3
+    counts = cubic_field_counts(p, f)
+    # the singular pairs are (-3s^2, 2s^3), one per s
+    assert sum(counts.values()) == q * q - q
+    assert all(t * t <= 4 * q for t in counts)
+    table = TraceMassTable(p, 3, tuple(sorted(counts.items())))
+    assert table.total_mass() == q
+    for M in range(1, 9):
+        if M % p == 0:
+            continue
+        for k in (0, 1, 2):
+            for m in range(M):
+                assert table.moment(k, m, M) == S_via_moments(k, m, M, p, 3), (k, m, M)
+    if p == 5:
+        assert S_via_moments(2, 1, 3, 5, 3) == Fraction(7875, 2)
 
 
 def test_tilde_moment_drops_characteristic_traces():

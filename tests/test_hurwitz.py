@@ -505,8 +505,10 @@ def test_reduction_identity_vanishes():
 
 
 def test_cusp_coefficient_requires_positive_order():
-    with pytest.raises(ValueError):
-        cusp_coefficient(0, 1, 1, 5)
+    # and a positive level and index: k = 0, M = 0, n = 0
+    for args in ((0, 1, 1, 5), (2, 1, 0, 5), (2, 1, 1, 0)):
+        with pytest.raises(ValueError):
+            cusp_coefficient(*args)
 
 
 def cusp_by_fractions(k, m, M, n):
